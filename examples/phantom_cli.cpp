@@ -85,6 +85,7 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "atm/abr_source.h"
@@ -212,6 +213,17 @@ std::optional<std::string> read_fault_plan_file(const std::string& path) {
   return spec;
 }
 
+/// A millisecond flag value: a number that converts to a Time exactly
+/// (finite and in range; NaN, inf and 1e300 are rejected). Throws like
+/// std::stod, so a bad value takes the "bad value for --key" path.
+double parse_ms(const std::string& val) {
+  const double ms = std::stod(val);
+  if (!Time::fits_seconds(ms / 1e3)) {
+    throw std::out_of_range{"not a finite time in range"};
+  }
+  return ms;
+}
+
 std::optional<Args> parse(int argc, char** argv) {
   Args a;
   for (int i = 1; i < argc; ++i) {
@@ -253,7 +265,7 @@ std::optional<Args> parse(int argc, char** argv) {
       else if (key == "algorithm") a.algorithm = val;
       else if (key == "sessions") a.sessions = std::stoi(val);
       else if (key == "rate-mbps") a.rate_mbps = std::stod(val);
-      else if (key == "duration-ms") a.duration_ms = std::stod(val);
+      else if (key == "duration-ms") a.duration_ms = parse_ms(val);
       else if (key == "seed") a.seed = std::stoull(val);
       else if (key == "csv") a.csv = val;
       else if (key == "fault-plan") {
@@ -270,7 +282,7 @@ std::optional<Args> parse(int argc, char** argv) {
       else if (key == "policing") a.policing = val;
       else if (key == "crm") a.crm = std::stoi(val);
       else if (key == "cdf") a.cdf = std::stod(val);
-      else if (key == "adtf") a.adtf_ms = std::stod(val);
+      else if (key == "adtf") a.adtf_ms = parse_ms(val);
       else if (key == "buffer-cells") {
         a.buffer_cells = std::stol(val);
         if (a.buffer_cells < 1) {
@@ -280,7 +292,7 @@ std::optional<Args> parse(int argc, char** argv) {
       }
       else if (key == "mcr-mbps") a.mcr_mbps = std::stod(val);
       else if (key == "metrics-out") a.metrics_out = val;
-      else if (key == "metrics-interval") a.metrics_interval_ms = std::stod(val);
+      else if (key == "metrics-interval") a.metrics_interval_ms = parse_ms(val);
       else if (key == "trace-out") a.trace_out = val;
       else if (key == "trace-jsonl") a.trace_jsonl = val;
       else if (key == "trace-capacity") a.trace_capacity = std::stol(val);

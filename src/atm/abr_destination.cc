@@ -1,8 +1,20 @@
 #include "atm/abr_destination.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace phantom::atm {
+
+AbrDestination::VcState& AbrDestination::vc_state(int vc) {
+  if (vc < 0) {
+    throw std::invalid_argument{"AbrDestination: negative VC id " +
+                                std::to_string(vc)};
+  }
+  const auto i = static_cast<std::size_t>(vc);
+  if (i >= per_vc_.size()) per_vc_.resize(i + 1);
+  return per_vc_[i];
+}
 
 void AbrDestination::account_frame(VcState& st, const Cell& cell) {
   if (st.frame_open && cell.frame != st.cur_frame_id) {
@@ -34,7 +46,7 @@ void AbrDestination::account_frame(VcState& st, const Cell& cell) {
 void AbrDestination::receive_cell(Cell cell) {
   switch (cell.kind) {
     case CellKind::kData: {
-      VcState& st = per_vc_[cell.vc];
+      VcState& st = vc_state(cell.vc);
       st.efci_latched = cell.efci;
       ++st.data_cells;
       ++total_data_;
@@ -46,7 +58,7 @@ void AbrDestination::receive_cell(Cell cell) {
       break;
     }
     case CellKind::kForwardRm: {
-      VcState& st = per_vc_[cell.vc];
+      VcState& st = vc_state(cell.vc);
       Cell brm = cell;
       brm.kind = CellKind::kBackwardRm;
       brm.ci = cell.ci || st.efci_latched;

@@ -2,7 +2,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "atm/cell.h"
 #include "atm/link.h"
@@ -19,6 +19,8 @@ namespace phantom::atm {
 ///
 /// Per-VC state here is fine: a destination only tracks its *own*
 /// sessions; the constant-space requirement applies to switch ports.
+/// The state lives in a dense table indexed by VC id, so a cell with a
+/// negative id (Cell::vc unset) throws std::invalid_argument.
 class AbrDestination final : public CellSink {
  public:
   AbrDestination(sim::Simulator& sim, Link to_network)
@@ -32,8 +34,8 @@ class AbrDestination final : public CellSink {
   void receive_cell(Cell cell) override;
 
   [[nodiscard]] std::uint64_t data_cells_received(int vc) const {
-    const auto it = per_vc_.find(vc);
-    return it == per_vc_.end() ? 0 : it->second.data_cells;
+    const VcState* st = find_vc(vc);
+    return st == nullptr ? 0 : st->data_cells;
   }
   [[nodiscard]] std::uint64_t total_data_cells() const { return total_data_; }
   [[nodiscard]] std::uint64_t rm_cells_turned() const { return rm_turned_; }
@@ -45,12 +47,12 @@ class AbrDestination final : public CellSink {
   /// PPD corrupts the frame even though most of its cells consumed link
   /// capacity — the frame-level goodput the overload figures plot.
   [[nodiscard]] std::uint64_t frames_good(int vc) const {
-    const auto it = per_vc_.find(vc);
-    return it == per_vc_.end() ? 0 : it->second.frames_good;
+    const VcState* st = find_vc(vc);
+    return st == nullptr ? 0 : st->frames_good;
   }
   [[nodiscard]] std::uint64_t frames_corrupted(int vc) const {
-    const auto it = per_vc_.find(vc);
-    return it == per_vc_.end() ? 0 : it->second.frames_corrupted;
+    const VcState* st = find_vc(vc);
+    return st == nullptr ? 0 : st->frames_corrupted;
   }
   [[nodiscard]] std::uint64_t total_frames_good() const {
     return total_frames_good_;
@@ -72,15 +74,14 @@ class AbrDestination final : public CellSink {
 
   /// Per-VC delay statistics (ms); zero for unknown VCs.
   [[nodiscard]] double mean_delay_ms(int vc) const {
-    const auto it = per_vc_.find(vc);
-    return it == per_vc_.end() || it->second.data_cells == 0
+    const VcState* st = find_vc(vc);
+    return st == nullptr || st->data_cells == 0
                ? 0.0
-               : it->second.delay_sum_ms /
-                     static_cast<double>(it->second.data_cells);
+               : st->delay_sum_ms / static_cast<double>(st->data_cells);
   }
   [[nodiscard]] double max_delay_ms(int vc) const {
-    const auto it = per_vc_.find(vc);
-    return it == per_vc_.end() ? 0.0 : it->second.delay_max_ms;
+    const VcState* st = find_vc(vc);
+    return st == nullptr ? 0.0 : st->delay_max_ms;
   }
 
  private:
@@ -97,10 +98,16 @@ class AbrDestination final : public CellSink {
   };
 
   void account_frame(VcState& st, const Cell& cell);
+  [[nodiscard]] const VcState* find_vc(int vc) const {
+    const auto i = static_cast<std::size_t>(vc);  // negative -> huge
+    return i < per_vc_.size() ? &per_vc_[i] : nullptr;
+  }
+  /// The VC's state, growing the table to reach it.
+  [[nodiscard]] VcState& vc_state(int vc);
 
   sim::Simulator* sim_;
   Link link_;
-  std::unordered_map<int, VcState> per_vc_;
+  std::vector<VcState> per_vc_;  // indexed by VC id
   std::uint64_t total_data_ = 0;
   std::uint64_t rm_turned_ = 0;
   std::uint64_t total_frames_good_ = 0;

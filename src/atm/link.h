@@ -2,11 +2,12 @@
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <utility>
 
 #include "atm/cell.h"
+#include "sim/ring.h"
 #include "sim/simulator.h"
 
 namespace phantom::atm {
@@ -17,7 +18,9 @@ namespace phantom::atm {
 /// without sharing each holder's copy would keep private counters and
 /// aggregate loss totals would be wrong). The fault subsystem
 /// (fault::FaultInjector) mutates the model fields mid-run: outages,
-/// Gilbert–Elliott loss bursts and RM-cell-targeted faults.
+/// Gilbert–Elliott loss bursts and RM-cell-targeted faults. The cells
+/// on the wire live here too, beside the counters that account for
+/// them.
 struct LinkState {
   // --- fault model (mutable at runtime) ---
   bool down = false;  ///< outage: every cell offered is dropped
@@ -56,6 +59,25 @@ struct LinkState {
   [[nodiscard]] std::uint64_t in_flight() const {
     return offered - delivered - lost();
   }
+  /// Cells held in the delay line; always equal to in_flight().
+  [[nodiscard]] std::size_t delay_line_cells() const { return line_.size(); }
+
+ private:
+  friend class Link;
+
+  /// The delivery event: the head of the delay line has propagated.
+  void arrive() {
+    const Cell cell = line_.front();
+    line_.pop_front();
+    ++delivered;
+    sink_->receive_cell(cell);
+  }
+
+  CellSink* sink_ = nullptr;
+  /// Cells on the wire, oldest first. The link's delay is constant, so
+  /// cells leave in the order they entered and each delivery event
+  /// takes the head.
+  sim::Ring<Cell> line_;
 };
 
 /// Unidirectional link: delivers cells to `sink` after a fixed
@@ -64,20 +86,27 @@ struct LinkState {
 /// matches the classic DES decomposition and lets sources with their own
 /// pacing connect directly.
 ///
+/// A constant delay makes the link a FIFO delay line: cells on the wire
+/// wait in a ring inside LinkState, and each hop schedules a one-pointer
+/// delivery event on the simulator's lane for the delay, which pops the
+/// ring's head when it fires (DESIGN.md §11).
+///
 /// Links are value types; all copies share one LinkState, so loss
 /// accounting stays aggregate and fault transitions applied through any
 /// copy (or through a retained state() handle) affect the physical hop.
+/// The simulator retains the LinkState too, so cells in flight are
+/// delivered even if every copy of the Link is gone.
 class Link {
  public:
   Link(sim::Simulator& sim, sim::Time delay, CellSink& sink,
        double loss_probability = 0.0)
       : sim_{&sim},
-        delay_{delay},
-        sink_{&sink},
+        lane_{sim.lane(delay)},
         state_{std::make_shared<LinkState>()} {
-    assert(!delay.is_negative());
     assert(loss_probability >= 0.0 && loss_probability <= 1.0);
     state_->loss = loss_probability;
+    state_->sink_ = &sink;
+    sim.retain(state_);
   }
 
   void deliver(Cell cell) {
@@ -115,18 +144,11 @@ class Link {
         corrupt_rm(cell);
       }
     }
-    auto arrive = [state = state_, sink = sink_, cell] {
-      ++state->delivered;
-      sink->receive_cell(cell);
-    };
-    // The single hottest callback in the library (every cell, every
-    // hop): its 64-byte capture must stay within the kernel's inline
-    // buffer or each delivery would heap-allocate.
-    static_assert(sim::EventQueue::Callback::fits_inline<decltype(arrive)>);
-    sim_->schedule(delay_, std::move(arrive));
+    st.line_.push_back(cell);
+    sim_->schedule(lane_, sim::bind_member<&LinkState::arrive>(&st));
   }
 
-  [[nodiscard]] sim::Time delay() const { return delay_; }
+  [[nodiscard]] sim::Time delay() const { return lane_.delay(); }
   [[nodiscard]] std::uint64_t cells_lost() const { return state_->lost(); }
   [[nodiscard]] std::uint64_t cells_delivered() const {
     return state_->delivered;
@@ -150,8 +172,7 @@ class Link {
   }
 
   sim::Simulator* sim_;
-  sim::Time delay_;
-  CellSink* sink_;
+  sim::Lane lane_;
   std::shared_ptr<LinkState> state_;
 };
 

@@ -11,6 +11,7 @@ OutputPort::OutputPort(sim::Simulator& sim, sim::Rate rate,
                        QueueDiscipline discipline)
     : sim_{&sim},
       rate_{rate},
+      tx_lane_{sim.lane(rate.transmission_time(kCellBits))},
       queue_limit_{queue_limit},
       link_{link},
       controller_{std::move(controller)},
@@ -124,7 +125,7 @@ void OutputPort::start_transmission() {
   // Pin the cell entering service now: a higher-priority arrival during
   // its serialization must not preempt it.
   serving_ = priority_queue_.empty() ? &queue_ : &priority_queue_;
-  sim_->schedule(rate_.transmission_time(kCellBits),
+  sim_->schedule(tx_lane_,
                  sim::bind_member<&OutputPort::on_transmission_complete>(this));
 }
 

@@ -132,6 +132,7 @@ class OutputPort {
 
   sim::Simulator* sim_;
   sim::Rate rate_;
+  sim::Lane tx_lane_;  // one cell time: every transmission completes on it
   std::size_t queue_limit_;
   Link link_;
   std::unique_ptr<PortController> controller_;

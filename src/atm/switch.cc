@@ -1,10 +1,8 @@
 #include "atm/switch.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
 namespace phantom::atm {
 
@@ -208,18 +206,28 @@ void Switch::force_admit_vc(int vc, sim::Rate mcr,
 
 bool Switch::unroute_vc(int vc) {
   evict_vc(vc);  // admission booking, policer state, activity stamp
-  return routes_.erase(vc) > 0;
+  VcEntry* entry = find_vc(vc);
+  if (entry == nullptr || !entry->routed()) return false;
+  *entry = VcEntry{};
+  return true;
 }
 
 void Switch::route_vc(int vc, std::size_t forward_port,
                       std::size_t backward_port) {
+  if (vc < 0) {
+    throw std::invalid_argument{"route_vc: negative VC id " +
+                                std::to_string(vc)};
+  }
   if (forward_port >= ports_.size() || backward_port >= ports_.size()) {
     throw std::out_of_range{"route_vc: port index out of range"};
   }
-  const auto [_, inserted] = routes_.emplace(vc, Route{forward_port, backward_port});
-  if (!inserted) {
+  if (static_cast<std::size_t>(vc) >= vcs_.size()) vcs_.resize(vc + 1);
+  VcEntry& entry = vcs_[vc];
+  if (entry.routed()) {
     throw std::invalid_argument{"route_vc: VC already routed on " + name_};
   }
+  entry.forward_port = forward_port;
+  entry.backward_port = backward_port;
 }
 
 void Switch::enable_policing(PolicerConfig config) {
@@ -236,20 +244,25 @@ void Switch::enable_reaping(ReaperConfig config) {
 }
 
 void Switch::on_reap_tick() {
-  // Collect first, then evict in VC order: eviction order must not
-  // depend on hash-table iteration so runs stay bit-reproducible.
-  std::vector<int> dead;
+  // The sweep walks the table in VC order, so evictions (and the
+  // controller notifications they send) happen in VC order.
   const sim::Time now = sim_->now();
-  for (const auto& [vc, last] : last_activity_) {
-    if (now - last > reaper_config_.timeout) dead.push_back(vc);
+  for (std::size_t vc = 0; vc < vcs_.size(); ++vc) {
+    if (vcs_[vc].active &&
+        now - vcs_[vc].last_activity > reaper_config_.timeout) {
+      evict_vc(static_cast<int>(vc));
+    }
   }
-  std::sort(dead.begin(), dead.end());
-  for (const int vc : dead) evict_vc(vc);
   sim_->schedule(reaper_config_.period, [this] { on_reap_tick(); });
 }
 
 bool Switch::evict_vc(int vc) {
-  const bool had_activity = last_activity_.erase(vc) > 0;
+  VcEntry* entry = find_vc(vc);
+  const bool had_activity = entry != nullptr && entry->active;
+  if (had_activity) {
+    entry->active = false;
+    --active_vcs_;
+  }
   const bool had_policer_state = policer_ && policer_->evict_vc(vc);
   const bool had_admission = release_admission(vc);
   const bool had_buffer_state = buffer_mgr_ && buffer_mgr_->evict_vc(vc);
@@ -259,9 +272,9 @@ bool Switch::evict_vc(int vc) {
   ++vcs_reaped_;
   // Both directions' controllers get the notification: session-count
   // and per-VC state can live on either side of the route.
-  if (const auto it = routes_.find(vc); it != routes_.end()) {
-    ports_[it->second.forward_port]->controller().vc_expired(vc);
-    ports_[it->second.backward_port]->controller().vc_expired(vc);
+  if (entry != nullptr && entry->routed()) {
+    ports_[entry->forward_port]->controller().vc_expired(vc);
+    ports_[entry->backward_port]->controller().vc_expired(vc);
   }
   return true;
 }
@@ -344,14 +357,21 @@ void Switch::sanitize_rm(Cell& cell, sim::Rate link_rate) {
 }
 
 void Switch::receive_cell(Cell cell) {
-  const auto it = routes_.find(cell.vc);
-  if (it == routes_.end()) {
+  VcEntry* entry = find_vc(cell.vc);
+  if (entry == nullptr || !entry->routed()) {
     ++unrouted_;
     return;
   }
-  const Route route = it->second;
-  if (reaping_) last_activity_[cell.vc] = sim_->now();
-  OutputPort& fwd = *ports_[route.forward_port];
+  if (reaping_) {
+    if (!entry->active) {
+      entry->active = true;
+      ++active_vcs_;
+    }
+    entry->last_activity = sim_->now();
+  }
+  const std::size_t forward_port = entry->forward_port;
+  const std::size_t backward_port = entry->backward_port;
+  OutputPort& fwd = *ports_[forward_port];
   // ER/CCR refer to the forward direction either way, so the forward
   // link's capacity is the sanity cap for both cell directions.
   if (cell.is_rm()) sanitize_rm(cell, fwd.rate());
@@ -379,7 +399,7 @@ void Switch::receive_cell(Cell cell) {
       break;
     case CellKind::kForwardRm:
       fwd.controller().on_forward_rm(cell, fwd.queue_length());
-      record_rm_event(obs::EventKind::kRmForward, cell, route.forward_port);
+      record_rm_event(obs::EventKind::kRmForward, cell, forward_port);
       fwd.send(cell);
       break;
     case CellKind::kBackwardRm:
@@ -387,8 +407,8 @@ void Switch::receive_cell(Cell cell) {
       // cell continues along the reverse path. The trace records the
       // post-stamp ER/CCR — what the source will actually be told.
       fwd.controller().on_backward_rm(cell, fwd.queue_length());
-      record_rm_event(obs::EventKind::kRmBackward, cell, route.forward_port);
-      ports_[route.backward_port]->send(cell);
+      record_rm_event(obs::EventKind::kRmBackward, cell, forward_port);
+      ports_[backward_port]->send(cell);
       break;
   }
 }

@@ -1,6 +1,7 @@
 // Output-queued ATM switch with per-VC routing.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -93,7 +94,9 @@ class Switch final : public CellSink {
 
   /// Routes a VC: forward cells to `forward_port`, backward RM cells to
   /// `backward_port` (both indices from add_port). A VC may be routed at
-  /// most once per switch.
+  /// most once per switch. VC ids index a dense per-VC table, so they
+  /// must be non-negative (std::invalid_argument otherwise) and should
+  /// be small, as topo::AbrNetwork's are (sessions count up from 0).
   void route_vc(int vc, std::size_t forward_port, std::size_t backward_port);
 
   void receive_cell(Cell cell) override;
@@ -142,7 +145,7 @@ class Switch final : public CellSink {
   /// VCs evicted so far (reaper sweeps + explicit evict_vc calls).
   [[nodiscard]] std::uint64_t vcs_reaped() const { return vcs_reaped_; }
   /// VCs with a live activity timestamp (seen and not yet evicted).
-  [[nodiscard]] std::size_t active_vcs() const { return last_activity_.size(); }
+  [[nodiscard]] std::size_t active_vcs() const { return active_vcs_; }
   [[nodiscard]] bool reaping_enabled() const { return reaping_; }
 
   /// Bounds this switch's cell memory: all ports (present and future)
@@ -222,10 +225,22 @@ class Switch final : public CellSink {
   /// Records a CAC refusal (detail: AdmitVerdict code).
   void record_cac_refusal(int vc, sim::Rate mcr, AdmitVerdict verdict);
 
-  struct Route {
-    std::size_t forward_port;
-    std::size_t backward_port;
+  /// Per-VC state on the cell path, indexed by VC id.
+  struct VcEntry {
+    static constexpr std::size_t kUnrouted = SIZE_MAX;
+    std::size_t forward_port = kUnrouted;
+    std::size_t backward_port = kUnrouted;
+    /// Reaper stamp: the VC's last cell, valid while `active`.
+    sim::Time last_activity;
+    bool active = false;  ///< seen since routing or its last eviction
+
+    [[nodiscard]] bool routed() const { return forward_port != kUnrouted; }
   };
+  /// The VC's entry, or nullptr for an id outside the table.
+  [[nodiscard]] VcEntry* find_vc(int vc) {
+    const auto i = static_cast<std::size_t>(vc);  // negative -> huge
+    return i < vcs_.size() ? &vcs_[i] : nullptr;
+  }
 
   sim::Simulator* sim_;
   std::string name_;
@@ -235,7 +250,7 @@ class Switch final : public CellSink {
   bool release_admission(int vc);
 
   std::vector<std::unique_ptr<OutputPort>> ports_;
-  std::unordered_map<int, Route> routes_;
+  std::vector<VcEntry> vcs_;
   std::uint64_t unrouted_ = 0;
   std::unique_ptr<BufferManager> buffer_mgr_;
   bool cac_enabled_ = false;
@@ -251,7 +266,7 @@ class Switch final : public CellSink {
   std::uint64_t rm_sanitized_ = 0;
   bool reaping_ = false;
   ReaperConfig reaper_config_;
-  std::unordered_map<int, sim::Time> last_activity_;
+  std::size_t active_vcs_ = 0;  // entries with `active` set
   std::uint64_t vcs_reaped_ = 0;
   obs::EventLog* event_log_ = nullptr;
   std::int16_t obs_node_ = -1;

@@ -59,6 +59,10 @@ namespace {
 [[nodiscard]] sim::Time parse_ms(const std::string& field,
                                  const std::string& what) {
   const double ms = parse_number(field, what);
+  if (!sim::Time::fits_seconds(ms / 1e3)) {
+    throw std::invalid_argument{"fault plan: " + what + " '" + field +
+                                "' is not a finite time in range"};
+  }
   if (ms < 0) throw std::invalid_argument{"fault plan: negative " + what};
   return sim::Time::from_seconds(ms / 1e3);
 }

@@ -7,13 +7,17 @@
 
 namespace phantom::sim {
 
-EventId EventQueue::schedule(Time at, Callback cb) {
-  if (!cb) throw std::logic_error{"EventQueue::schedule: null callback"};
+void EventQueue::check_not_past(Time at) const {
   if (at < floor_) {
     throw std::logic_error{"EventQueue::schedule: " + at.to_string() +
                            " is before the last popped event (" +
                            floor_.to_string() + ")"};
   }
+}
+
+EventId EventQueue::schedule(Time at, Callback&& cb) {
+  if (!cb) throw std::logic_error{"EventQueue::schedule: null callback"};
+  check_not_past(at);
   const std::uint64_t seq = next_seq_++;
   std::uint32_t slot;
   if (!free_slots_.empty()) {
@@ -28,9 +32,40 @@ EventId EventQueue::schedule(Time at, Callback cb) {
   s.callback = std::move(cb);
   heap_.push_back(Node{at, seq, slot});
   sift_up(heap_.size() - 1);
-  ++live_count_;
-  peak_live_ = std::max(peak_live_, live_count_);
+  note_scheduled();
   return EventId{seq, slot};
+}
+
+Lane EventQueue::lane(Time delay) {
+  if (delay.is_negative()) {
+    throw std::logic_error{"EventQueue::lane: negative delay " +
+                           delay.to_string()};
+  }
+  for (std::size_t i = 0; i < lane_count_; ++i) {
+    if (lanes_[i].delay == delay) return Lane{delay, static_cast<std::uint32_t>(i)};
+  }
+  if (lane_count_ == kMaxLanes) return Lane{delay, Lane::kHeap};
+  lanes_[lane_count_].delay = delay;
+  return Lane{delay, static_cast<std::uint32_t>(lane_count_++)};
+}
+
+void EventQueue::schedule_off_lane(const Lane& lane, Time at, Callback&& cb) {
+  if (!lane.is_lane()) {
+    schedule(at, std::move(cb));
+    return;
+  }
+  if (!cb) throw std::logic_error{"EventQueue::schedule: null callback"};
+  check_not_past(at);
+  if (lane.index_ >= lane_count_ || lanes_[lane.index_].delay != lane.delay_) {
+    throw std::logic_error{"EventQueue::schedule: lane from another queue"};
+  }
+  // A lane is sorted only because its events arrive in time order; an
+  // out-of-order time would silently break the firing order.
+  const Ring<LaneEvent>& events = lanes_[lane.index_].events;
+  assert(!events.empty() && at < events.back().time);
+  throw std::logic_error{"EventQueue::schedule: " + at.to_string() +
+                         " is before the lane's last event (" +
+                         events.back().time.to_string() + ")"};
 }
 
 void EventQueue::cancel(EventId id) {
@@ -93,23 +128,15 @@ void EventQueue::drop_cancelled_head() const {
 }
 
 Time EventQueue::next_time() const {
-  drop_cancelled_head();
-  assert(!heap_.empty() && "next_time() on empty queue");
-  return heap_.front().time;
+  const std::size_t source = earliest();
+  assert((source != kHeapSource || !heap_.empty()) && "next_time() on empty queue");
+  return source == kHeapSource ? heap_.front().time
+                               : lanes_[source].events.front().time;
 }
 
 EventQueue::Popped EventQueue::pop() {
-  drop_cancelled_head();
-  assert(!heap_.empty() && "pop() on empty queue");
-  const Node top = heap_.front();
-  remove_root();
-  floor_ = top.time;
-  Slot& s = slots_[top.slot];
-  assert(s.seq == top.seq);
-  Popped out{top.time, std::move(s.callback)};
-  free_slot(top.slot);
-  --live_count_;
-  return out;
+  assert(!empty() && "pop() on empty queue");
+  return take(earliest());
 }
 
 }  // namespace phantom::sim

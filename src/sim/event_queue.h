@@ -1,10 +1,12 @@
 // Pending-event set for the discrete-event kernel.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "sim/inline_function.h"
+#include "sim/ring.h"
 #include "sim/time.h"
 
 namespace phantom::sim {
@@ -26,15 +28,44 @@ class EventId {
   std::uint32_t slot_ = 0;
 };
 
-/// Min-heap of timestamped callbacks with deterministic FIFO tie-breaking:
-/// events scheduled for the same instant fire in scheduling order. This is
-/// what makes simulations reproducible run-to-run regardless of heap
-/// internals.
+/// Handle to one of a queue's constant-delay FIFO lanes (see
+/// EventQueue::lane). Cheap to copy; valid for the queue that issued it.
+class Lane {
+ public:
+  [[nodiscard]] Time delay() const { return delay_; }
+  /// False when the queue had no lane left for this delay: events
+  /// scheduled through the handle then go to the heap.
+  [[nodiscard]] bool is_lane() const { return index_ != kHeap; }
+
+ private:
+  friend class EventQueue;
+  static constexpr std::uint32_t kHeap = ~std::uint32_t{0};
+  Lane(Time delay, std::uint32_t index) : delay_{delay}, index_{index} {}
+  Time delay_;
+  std::uint32_t index_;
+};
+
+/// Pending-event set with deterministic FIFO tie-breaking: events
+/// scheduled for the same instant fire in scheduling order. This is
+/// what makes simulations reproducible run-to-run regardless of the
+/// queue's internals.
 ///
-/// Layout (see DESIGN.md §11): a flat 4-ary min-heap of trivially
-/// copyable {time, seq, slot} nodes over a plain vector of slots that
-/// hold the callbacks. Nothing on the schedule/pop path allocates once
-/// the vectors have reached the run's high-water mark.
+/// Every event carries the key (time, seq), seq being a counter drawn at
+/// schedule time, and events fire in key order. Two structures hold
+/// them (see DESIGN.md §11):
+///
+/// - a flat 4-ary min-heap of trivially copyable {time, seq, slot}
+///   nodes over a plain vector of slots holding the callbacks, for
+///   events at arbitrary times; these can be cancelled;
+/// - up to kMaxLanes FIFO lanes, one per constant delay. Events put on
+///   a lane are all `delay` after a non-decreasing clock, so they
+///   arrive in key order and a ring keeps them sorted for free. Lane
+///   events are fire-and-forget: no EventId, no cancel.
+///
+/// pop() takes the smallest key over the heap top and the lane heads,
+/// so the global firing order is exactly that of a single heap. Nothing
+/// on the schedule/pop path allocates once the vectors and rings have
+/// reached the run's high-water mark.
 ///
 /// Cancellation is O(1) and releases the callback (and everything it
 /// captured) immediately: the slot is invalidated and freed for reuse,
@@ -45,20 +76,50 @@ class EventId {
 class EventQueue {
  public:
   /// Inline capture budget for event callbacks. Sized for the largest
-  /// hot-path capture in the library: a Link delivery closure
-  /// (shared LinkState handle + sink pointer + a 40-byte atm::Cell) or
-  /// a PacketLink closure (sink pointer + 64-byte tcp::Packet), with
+  /// hot-path capture in the library, tcp::PacketLink's delivery
+  /// closure (sink pointer + 64-byte tcp::Packet = 72 bytes), with
   /// headroom for a wrapped std::function (32 bytes on libstdc++).
+  /// atm::Link's delivery is a one-pointer bind_member on a lane.
   /// Callbacks beyond the budget still work — they heap-allocate and
   /// bump InlineFunction's fallback counter.
   static constexpr std::size_t kInlineCallbackBytes = 96;
   using Callback = InlineFunction<kInlineCallbackBytes>;
 
+  /// Distinct lane delays one queue keeps; lane() requests beyond this
+  /// get a handle that routes to the heap.
+  static constexpr std::size_t kMaxLanes = 8;
+
   /// Schedules `cb` at absolute time `at`. `at` may equal the time of the
   /// event currently executing (zero-delay events are allowed) but must
   /// never be in the past relative to the last popped event — that throws
   /// std::logic_error in every build type.
-  EventId schedule(Time at, Callback cb);
+  EventId schedule(Time at, Callback&& cb);
+
+  /// The lane for constant delay `delay` (>= 0; negative throws
+  /// std::logic_error). Equal delays share one lane.
+  [[nodiscard]] Lane lane(Time delay);
+
+  /// Schedules `cb` on `lane` at absolute time `at`, which must be no
+  /// earlier than the lane's last event (the caller passes now + delay
+  /// with a non-decreasing now) and, like schedule(), not in the past;
+  /// either violation throws std::logic_error.
+  void schedule(const Lane& lane, Time at, Callback&& cb) {
+    if (!lane.is_lane() || !cb || at < floor_ || lane.index_ >= lane_count_ ||
+        lanes_[lane.index_].delay != lane.delay_) {
+      schedule_off_lane(lane, at, std::move(cb));
+      return;
+    }
+    Ring<LaneEvent>& events = lanes_[lane.index_].events;
+    if (!events.empty() && at < events.back().time) {
+      schedule_off_lane(lane, at, std::move(cb));
+      return;
+    }
+    LaneEvent& e = events.append();
+    e.time = at;
+    e.seq = next_seq_++;
+    e.callback = std::move(cb);
+    note_scheduled();
+  }
 
   /// Cancels a pending event, destroying its callback (and captured
   /// state) immediately. Cancelling an already-fired or already-
@@ -74,12 +135,23 @@ class EventQueue {
   /// Time of the earliest live event. Requires !empty().
   [[nodiscard]] Time next_time() const;
 
-  /// Removes and returns the earliest live event. Requires !empty().
   struct Popped {
     Time time;
     Callback callback;
   };
+  /// Removes and returns the earliest live event. Requires !empty().
   Popped pop();
+  /// Removes and returns the earliest live event if it is due at or
+  /// before `deadline`; otherwise (or when empty) returns a null
+  /// callback and leaves the queue as it was.
+  Popped pop_due(Time deadline) {
+    if (empty()) return {};
+    const std::size_t source = earliest();
+    const Time at = source == kHeapSource ? heap_.front().time
+                                          : lanes_[source].events.front().time;
+    if (at > deadline) return {};
+    return take(source);
+  }
 
  private:
   // One heap node per scheduled event (plus tombstones of cancelled
@@ -99,15 +171,75 @@ class EventQueue {
     std::uint64_t seq = 0;  // 0 = free
     Callback callback;
   };
+  struct LaneEvent {
+    Time time;
+    std::uint64_t seq = 0;
+    Callback callback;
+  };
+  struct LaneQueue {
+    Time delay;
+    Ring<LaneEvent> events;
+  };
 
   static constexpr std::size_t kArity = 4;
+  // earliest()'s answer when the heap top is the earliest event.
+  static constexpr std::size_t kHeapSource = kMaxLanes;
 
-  [[nodiscard]] static bool before(const Node& a, const Node& b) {
+  template <typename A, typename B>
+  [[nodiscard]] static bool before(const A& a, const B& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
   }
   [[nodiscard]] bool is_live(const Node& n) const {
     return slots_[n.slot].seq == n.seq;
+  }
+  void check_not_past(Time at) const;
+  void note_scheduled() {
+    ++live_count_;
+    if (live_count_ > peak_live_) peak_live_ = live_count_;
+  }
+  /// The lane schedule's slow path: heap fallback handles, and the
+  /// argument errors, which throw std::logic_error.
+  void schedule_off_lane(const Lane& lane, Time at, Callback&& cb);
+  /// Index of the lane holding the earliest live event, or kHeapSource.
+  /// Requires !empty().
+  [[nodiscard]] std::size_t earliest() const {
+    if (!heap_.empty() && !is_live(heap_.front())) drop_cancelled_head();
+    std::size_t best = kHeapSource;
+    // Start from the heap top when there is one; any lane head that
+    // sorts before the current best takes over.
+    const LaneEvent* best_lane = nullptr;
+    for (std::size_t i = 0; i < lane_count_; ++i) {
+      const Ring<LaneEvent>& events = lanes_[i].events;
+      if (events.empty()) continue;
+      const LaneEvent& head = events.front();
+      if (best_lane != nullptr ? before(head, *best_lane)
+                               : heap_.empty() || before(head, heap_.front())) {
+        best = i;
+        best_lane = &head;
+      }
+    }
+    return best;
+  }
+  Popped take(std::size_t source) {
+    Popped out;
+    if (source == kHeapSource) {
+      const Node top = heap_.front();
+      remove_root();
+      Slot& s = slots_[top.slot];
+      out.time = top.time;
+      out.callback = std::move(s.callback);
+      free_slot(top.slot);
+    } else {
+      Ring<LaneEvent>& events = lanes_[source].events;
+      LaneEvent& head = events.front();
+      out.time = head.time;
+      out.callback = std::move(head.callback);
+      events.pop_front();
+    }
+    floor_ = out.time;
+    --live_count_;
+    return out;
   }
   void sift_up(std::size_t i) const;
   void sift_down(std::size_t i) const;
@@ -120,6 +252,8 @@ class EventQueue {
   mutable std::vector<Node> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
+  std::array<LaneQueue, kMaxLanes> lanes_;
+  std::size_t lane_count_ = 0;
   std::uint64_t next_seq_ = 1;
   std::size_t live_count_ = 0;
   std::size_t peak_live_ = 0;

@@ -16,7 +16,7 @@ const char* to_string(RunOutcome o) {
   return "?";
 }
 
-EventId Simulator::schedule(Time delay, EventQueue::Callback cb) {
+EventId Simulator::schedule(Time delay, EventQueue::Callback&& cb) {
   if (delay.is_negative()) {
     throw std::logic_error{"Simulator::schedule: negative delay " +
                            delay.to_string()};
@@ -24,7 +24,7 @@ EventId Simulator::schedule(Time delay, EventQueue::Callback cb) {
   return queue_.schedule(now_ + delay, std::move(cb));
 }
 
-EventId Simulator::schedule_at(Time at, EventQueue::Callback cb) {
+EventId Simulator::schedule_at(Time at, EventQueue::Callback&& cb) {
   if (at < now_) {
     throw std::logic_error{"Simulator::schedule_at: " + at.to_string() +
                            " is in the past (now " + now_.to_string() + ")"};
@@ -32,19 +32,7 @@ EventId Simulator::schedule_at(Time at, EventQueue::Callback cb) {
   return queue_.schedule(at, std::move(cb));
 }
 
-std::uint64_t Simulator::run() {
-  stopped_ = false;
-  std::uint64_t executed = 0;
-  while (!queue_.empty() && !stopped_) {
-    auto [time, callback] = queue_.pop();
-    assert(time >= now_);
-    now_ = time;
-    callback();
-    ++executed;
-  }
-  executed_ += executed;
-  return executed;
-}
+std::uint64_t Simulator::run() { return run_events(Time::max(), false); }
 
 std::uint64_t Simulator::run_until(Time deadline) {
   if (deadline < now_) {
@@ -52,16 +40,21 @@ std::uint64_t Simulator::run_until(Time deadline) {
                            deadline.to_string() + " is in the past (now " +
                            now_.to_string() + ")"};
   }
+  return run_events(deadline, true);
+}
+
+std::uint64_t Simulator::run_events(Time deadline, bool advance_clock) {
   stopped_ = false;
   std::uint64_t executed = 0;
-  while (!queue_.empty() && !stopped_ && queue_.next_time() <= deadline) {
-    auto [time, callback] = queue_.pop();
+  while (!stopped_) {
+    auto [time, callback] = queue_.pop_due(deadline);
+    if (!callback) break;
     assert(time >= now_);
     now_ = time;
     callback();
     ++executed;
   }
-  if (!stopped_ && now_ < deadline) now_ = deadline;
+  if (advance_clock && !stopped_ && now_ < deadline) now_ = deadline;
   executed_ += executed;
   return executed;
 }
@@ -78,19 +71,18 @@ RunOutcome Simulator::run_guarded(const RunGuard& guard) {
   Time instant = now_;
   RunOutcome outcome = RunOutcome::kDrained;
   while (true) {
-    if (queue_.empty()) {
-      outcome = RunOutcome::kDrained;
-      break;
-    }
-    if (queue_.next_time() > guard.deadline) {
-      outcome = RunOutcome::kDeadline;
-      break;
-    }
     if (executed >= guard.max_events) {
-      outcome = RunOutcome::kEventBudget;
+      // A spent budget only counts when another event is due.
+      outcome = queue_.empty()                        ? RunOutcome::kDrained
+                : queue_.next_time() > guard.deadline ? RunOutcome::kDeadline
+                                                      : RunOutcome::kEventBudget;
       break;
     }
-    auto [time, callback] = queue_.pop();
+    auto [time, callback] = queue_.pop_due(guard.deadline);
+    if (!callback) {
+      outcome = queue_.empty() ? RunOutcome::kDrained : RunOutcome::kDeadline;
+      break;
+    }
     assert(time >= now_);
     if (time == instant) {
       if (++at_instant > guard.max_events_per_instant) {

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
+#include <vector>
 
 #include "sim/event_queue.h"
 #include "sim/random.h"
@@ -72,11 +74,31 @@ class Simulator {
   /// Schedules `cb` to run `delay` from now. Negative delays throw
   /// std::logic_error in every build type (a release build must not
   /// silently corrupt the event order).
-  EventId schedule(Time delay, EventQueue::Callback cb);
+  EventId schedule(Time delay, EventQueue::Callback&& cb);
 
   /// Schedules `cb` at absolute simulation time `at`. Throws
   /// std::logic_error if `at` < now().
-  EventId schedule_at(Time at, EventQueue::Callback cb);
+  EventId schedule_at(Time at, EventQueue::Callback&& cb);
+
+  /// The FIFO lane for a constant `delay` (>= 0). Models that schedule
+  /// many events at one fixed delay — a link's propagation, a port's
+  /// cell time — take a lane once and schedule through it: same firing
+  /// order as schedule(delay, cb), without the heap. Lanes are shared by
+  /// delay and limited to EventQueue::kMaxLanes per simulator; past the
+  /// limit the handle schedules on the heap.
+  [[nodiscard]] Lane lane(Time delay) { return queue_.lane(delay); }
+
+  /// Schedules `cb` to run `lane.delay()` from now. Lane events cannot
+  /// be cancelled.
+  void schedule(const Lane& lane, EventQueue::Callback&& cb) {
+    queue_.schedule(lane, now_ + lane.delay(), std::move(cb));
+  }
+
+  /// Keeps `state` alive for as long as this simulator: for model state
+  /// that pending events reach through a plain pointer (see atm::Link).
+  void retain(std::shared_ptr<void> state) {
+    retained_.push_back(std::move(state));
+  }
 
   void cancel(EventId id) { queue_.cancel(id); }
 
@@ -115,6 +137,12 @@ class Simulator {
   [[nodiscard]] Rng& rng() { return rng_; }
 
  private:
+  // The loop behind run() and run_until(): runs events due by `deadline`.
+  std::uint64_t run_events(Time deadline, bool advance_clock);
+
+  // Declared before queue_ so it is destroyed after it: nothing a
+  // pending event points at dies while the event is still queued.
+  std::vector<std::shared_ptr<void>> retained_;
   EventQueue queue_;
   Time now_ = Time::zero();
   bool stopped_ = false;

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cassert>
+#include <cmath>
 #include <compare>
 #include <cstdint>
 #include <limits>
@@ -31,8 +32,21 @@ class Time {
   [[nodiscard]] static constexpr Time sec(std::int64_t v) { return Time{v * 1'000'000'000}; }
 
   /// Converts a floating-point second count, rounding to the nearest ns.
+  /// Undefined for NaN, infinities and counts beyond Time's range:
+  /// callers holding outside input check fits_seconds(s) first.
   [[nodiscard]] static constexpr Time from_seconds(double s) {
     return Time{static_cast<std::int64_t>(s * 1e9 + (s >= 0 ? 0.5 : -0.5))};
+  }
+
+  /// Whether a parsed second count is safe to turn into a Time: finite,
+  /// and at most half of Time::max() in magnitude, so an event's start
+  /// plus its duration cannot overflow either. Parsers check this before
+  /// from_seconds, whose float-to-integer cast is undefined out of range.
+  [[nodiscard]] static bool fits_seconds(double s) {
+    return std::isfinite(s) &&
+           std::fabs(s) <= static_cast<double>(
+                               std::numeric_limits<std::int64_t>::max()) /
+                               2e9;
   }
 
   [[nodiscard]] static constexpr Time zero() { return Time{0}; }

@@ -129,6 +129,32 @@ TEST(FaultPlanParseErrorTest, FirstEventPositionIsZero) {
   }
 }
 
+TEST(FaultPlanParseErrorTest, RejectsNonFiniteAndOutOfRangeTimes) {
+  // Each of these used to parse and serialize as a garbage time that
+  // did not round-trip (the double -> int64 cast was out of range).
+  for (const char* spec :
+       {"outage:trunk0:nan:50", "outage:trunk0:1e300:50",
+        "outage:trunk0:250:inf", "outage:trunk0:-inf:50",
+        "restart:dest0:1e13", "memsqueeze:100:0.5:nan"}) {
+    SCOPED_TRACE(spec);
+    try {
+      (void)fault::FaultPlan::parse(std::string{"leave:0:10;"} + spec);
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("not a finite time"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("event 2"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("at character 11"), std::string::npos) << msg;
+    }
+  }
+}
+
+TEST(FaultPlanParseErrorTest, LargestAcceptedTimeRoundTrips) {
+  const auto plan = fault::FaultPlan::parse("outage:trunk0:4e12:50");
+  EXPECT_EQ(fault::FaultPlan::parse(plan.to_spec()), plan);
+  EXPECT_EQ(plan.to_spec(), "outage:trunk0:4000000000000:50");
+}
+
 TEST(FaultPlanSpecTest, HandRolledPlanRoundTripsThroughText) {
   fault::FaultPlan plan;
   plan.outage(fault::trunk(0), Time::ms(250), Time::ms(50))
