@@ -73,9 +73,12 @@
 //
 // --perf-report appends kernel statistics after the scenario report:
 // events executed, wall-clock, events/sec, the peak pending-event count
-// (the event heap's high-water mark) and the inline-callback heap-
+// (the event heap's high-water mark), the inline-callback heap-
 // fallback count — nonzero means some model's capture outgrew the
-// kernel's inline buffer (see sim/inline_function.h).
+// kernel's inline buffer (see sim/inline_function.h) — and the kernel's
+// constant-delay lanes in use, with the lane requests routed to the
+// heap because every lane was taken (nonzero means some fixed-delay
+// traffic pays heap operations; see DESIGN.md §11).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -171,11 +174,15 @@ class PerfReporter {
     std::printf(
         "\nperf: %llu events in %.3f s wall (%.3g events/sec)\n"
         "perf: peak pending events %zu, inline-callback heap fallbacks "
+        "%llu\n"
+        "perf: lanes in use %zu of %zu, lane requests routed to the heap "
         "%llu\n",
         static_cast<unsigned long long>(executed), wall_s,
         static_cast<double>(executed) / wall_s, sim_->peak_pending_count(),
         static_cast<unsigned long long>(
-            sim::EventQueue::Callback::heap_fallbacks()));
+            sim::EventQueue::Callback::heap_fallbacks()),
+        sim_->lanes_in_use(), sim::EventQueue::kMaxLanes,
+        static_cast<unsigned long long>(sim_->heap_lane_requests()));
   }
 
  private:

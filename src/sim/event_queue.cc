@@ -44,7 +44,10 @@ Lane EventQueue::lane(Time delay) {
   for (std::size_t i = 0; i < lane_count_; ++i) {
     if (lanes_[i].delay == delay) return Lane{delay, static_cast<std::uint32_t>(i)};
   }
-  if (lane_count_ == kMaxLanes) return Lane{delay, Lane::kHeap};
+  if (lane_count_ == kMaxLanes) {
+    ++heap_lane_requests_;
+    return Lane{delay, Lane::kHeap};
+  }
   lanes_[lane_count_].delay = delay;
   return Lane{delay, static_cast<std::uint32_t>(lane_count_++)};
 }

@@ -75,11 +75,11 @@ class Lane {
 /// so no per-event hash set of cancelled ids is needed.
 class EventQueue {
  public:
-  /// Inline capture budget for event callbacks. Sized for the largest
-  /// hot-path capture in the library, tcp::PacketLink's delivery
-  /// closure (sink pointer + 64-byte tcp::Packet = 72 bytes), with
+  /// Inline capture budget for event callbacks. The link and port
+  /// events of both atm and tcp are one-pointer bind_member callbacks on
+  /// lanes; the budget is set by a payload-carrying closure, bench_micro's
+  /// 56-byte cell delivery (a 48-byte atm::Cell plus a pointer), with
   /// headroom for a wrapped std::function (32 bytes on libstdc++).
-  /// atm::Link's delivery is a one-pointer bind_member on a lane.
   /// Callbacks beyond the budget still work — they heap-allocate and
   /// bump InlineFunction's fallback counter.
   static constexpr std::size_t kInlineCallbackBytes = 96;
@@ -98,6 +98,15 @@ class EventQueue {
   /// The lane for constant delay `delay` (>= 0; negative throws
   /// std::logic_error). Equal delays share one lane.
   [[nodiscard]] Lane lane(Time delay);
+
+  /// Lanes handed out so far (at most kMaxLanes).
+  [[nodiscard]] std::size_t lanes_in_use() const { return lane_count_; }
+  /// lane() calls answered with a heap handle because every lane was
+  /// taken by another delay. Nonzero means some fixed-delay traffic
+  /// pays heap operations (see phantom_cli --perf-report).
+  [[nodiscard]] std::uint64_t heap_lane_requests() const {
+    return heap_lane_requests_;
+  }
 
   /// Schedules `cb` on `lane` at absolute time `at`, which must be no
   /// earlier than the lane's last event (the caller passes now + delay
@@ -254,6 +263,7 @@ class EventQueue {
   std::vector<std::uint32_t> free_slots_;
   std::array<LaneQueue, kMaxLanes> lanes_;
   std::size_t lane_count_ = 0;
+  std::uint64_t heap_lane_requests_ = 0;
   std::uint64_t next_seq_ = 1;
   std::size_t live_count_ = 0;
   std::size_t peak_live_ = 0;

@@ -1,9 +1,9 @@
 // Small-buffer move-only callable: the event kernel's allocation-free
 // replacement for std::function<void()>.
 //
-// Every scheduled event used to pay one heap allocation for its capture
-// block (std::function's SBO is 16 bytes on libstdc++; a PacketLink
-// delivery captures 72). InlineFunction<N> stores captures up to N bytes
+// std::function's small-buffer storage is 16 bytes on libstdc++, so an
+// event carrying a packet or cell by value would pay one heap allocation
+// for its capture block. InlineFunction<N> stores captures up to N bytes
 // inline in the object, falling back to the heap only beyond that — and
 // counts those fallbacks, so a model whose captures outgrow the buffer
 // shows up in `phantom_cli --perf-report` instead of silently regressing.

@@ -87,6 +87,14 @@ class Simulator {
   /// delay and limited to EventQueue::kMaxLanes per simulator; past the
   /// limit the handle schedules on the heap.
   [[nodiscard]] Lane lane(Time delay) { return queue_.lane(delay); }
+  /// Lanes in use, and lane() requests that got a heap handle because
+  /// the lanes had run out (see EventQueue::heap_lane_requests).
+  [[nodiscard]] std::size_t lanes_in_use() const {
+    return queue_.lanes_in_use();
+  }
+  [[nodiscard]] std::uint64_t heap_lane_requests() const {
+    return queue_.heap_lane_requests();
+  }
 
   /// Schedules `cb` to run `lane.delay()` from now. Lane events cannot
   /// be cancelled.
@@ -95,7 +103,8 @@ class Simulator {
   }
 
   /// Keeps `state` alive for as long as this simulator: for model state
-  /// that pending events reach through a plain pointer (see atm::Link).
+  /// that pending events reach through a plain pointer (see atm::Link,
+  /// tcp::PacketLink).
   void retain(std::shared_ptr<void> state) {
     retained_.push_back(std::move(state));
   }

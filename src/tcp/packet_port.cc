@@ -1,6 +1,8 @@
 #include "tcp/packet_port.h"
 
+#include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace phantom::tcp {
 
@@ -10,7 +12,7 @@ PacketPort::PacketPort(sim::Simulator& sim, sim::Rate rate,
     : sim_{&sim},
       rate_{rate},
       queue_limit_{queue_limit},
-      link_{link},
+      link_{std::move(link)},
       policy_{std::move(policy)} {
   assert(rate.bits_per_sec() > 0.0);
   assert(queue_limit_ > 0);
@@ -41,16 +43,20 @@ void PacketPort::send(Packet packet) {
 void PacketPort::start_transmission() {
   assert(!queue_.empty());
   transmitting_ = true;
-  sim_->schedule(rate_.transmission_time(queue_.front().wire_bits()),
+  const std::int64_t bits = queue_.front().wire_bits();
+  if (bits != tx_bits_) {
+    tx_lane_ = sim_->lane(rate_.transmission_time(bits));
+    tx_bits_ = bits;
+  }
+  sim_->schedule(*tx_lane_,
                  sim::bind_member<&PacketPort::on_transmission_complete>(this));
 }
 
 void PacketPort::on_transmission_complete() {
   assert(!queue_.empty());
-  const Packet packet = queue_.front();
-  queue_.pop_front();
   ++transmitted_;
-  link_.deliver(packet);
+  link_.deliver(queue_.front());
+  queue_.pop_front();
   if (!queue_.empty()) {
     start_transmission();
   } else {

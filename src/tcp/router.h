@@ -1,10 +1,10 @@
 // IP router: per-flow forward/backward routing over packet ports.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "tcp/packet.h"
@@ -28,7 +28,10 @@ class Router final : public PacketSink {
   std::size_t add_port(sim::Rate rate, std::size_t queue_limit,
                        PacketLink link, std::unique_ptr<QueuePolicy> policy);
 
-  /// Routes a flow. A flow may be routed at most once per router.
+  /// Routes a flow. A flow may be routed at most once per router. Flow
+  /// ids index a dense per-flow table, so they must be non-negative
+  /// (std::invalid_argument otherwise) and should be small, as
+  /// TcpNetwork's are (flows count up from 0).
   void route_flow(int flow, std::size_t forward_port,
                   std::size_t backward_port);
 
@@ -45,14 +48,22 @@ class Router final : public PacketSink {
 
  private:
   struct Route {
-    std::size_t forward_port;
-    std::size_t backward_port;
+    static constexpr std::size_t kUnrouted = SIZE_MAX;
+    std::size_t forward_port = kUnrouted;
+    std::size_t backward_port = kUnrouted;
+
+    [[nodiscard]] bool routed() const { return forward_port != kUnrouted; }
   };
+  /// The flow's route, or nullptr when the flow is not routed here.
+  [[nodiscard]] const Route* find_route(int flow) const {
+    const auto i = static_cast<std::size_t>(flow);  // negative -> huge
+    return i < routes_.size() && routes_[i].routed() ? &routes_[i] : nullptr;
+  }
 
   sim::Simulator* sim_;
   std::string name_;
   std::vector<std::unique_ptr<PacketPort>> ports_;
-  std::unordered_map<int, Route> routes_;
+  std::vector<Route> routes_;  // indexed by flow id
   std::uint64_t unrouted_ = 0;
   std::uint64_t quenches_ = 0;
 };

@@ -1,11 +1,22 @@
 #include "tcp/tcp_network.h"
 
 #include <stdexcept>
+#include <string>
 
 namespace phantom::tcp {
 
 namespace {
 constexpr std::size_t kPlumbingQueueLimit = 100'000;  // never the bottleneck
+}
+
+void SinkHost::attach(int flow, TcpSink& sink) {
+  if (flow < 0) {
+    throw std::invalid_argument{"SinkHost::attach: negative flow id " +
+                                std::to_string(flow)};
+  }
+  const auto i = static_cast<std::size_t>(flow);
+  if (i >= sinks_.size()) sinks_.resize(i + 1, nullptr);
+  if (sinks_[i] == nullptr) sinks_[i] = &sink;
 }
 
 TcpNetwork::RouterId TcpNetwork::add_router(std::string name) {
@@ -40,17 +51,16 @@ TcpNetwork::SinkNodeId TcpNetwork::add_sink_node(RouterId at,
   if (at >= routers_.size()) {
     throw std::out_of_range{"add_sink_node: bad router id"};
   }
-  SinkNode node;
-  node.at = at;
-  node.host = std::make_unique<SinkHost>();
-  node.delay = options.delay;
+  auto host = std::make_unique<SinkHost>();
   auto policy = options.policy ? options.policy(*sim_, options.rate)
                                : std::unique_ptr<QueuePolicy>{};
-  node.port = routers_[at]->add_port(
+  const std::size_t port = routers_[at]->add_port(
       options.rate, options.queue_limit,
-      PacketLink{*sim_, options.delay, *node.host, options.loss},
+      PacketLink{*sim_, options.delay, *host, options.loss},
       std::move(policy));
-  sink_nodes_.push_back(std::move(node));
+  sink_nodes_.push_back(SinkNode{
+      at, port, std::move(host),
+      PacketLink{*sim_, options.delay, *routers_[at]}});
   return sink_nodes_.size() - 1;
 }
 
@@ -144,15 +154,11 @@ TcpNetwork::FlowId TcpNetwork::add_flow(RouterId ingress,
   }
   routers_[cursor]->route_flow(flow, node.port, backward);
 
-  // Receiver: ACKs re-enter the terminating router and follow the
-  // backward route.
-  Router* terminus = routers_[cursor].get();
-  const sim::Time return_delay = node.delay;
+  // Receiver: ACKs cross the sink node's return link into the
+  // terminating router and follow the backward route.
   auto sink = std::make_unique<TcpSink>(
       *sim_, flow,
-      [this, terminus, return_delay](Packet ack) {
-        PacketLink{*sim_, return_delay, *terminus}.deliver(ack);
-      },
+      [link = node.return_link](Packet ack) mutable { link.deliver(ack); },
       sink_options);
   node.host->attach(flow, *sink);
 

@@ -2,10 +2,10 @@
 // of topo::AbrNetwork.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -36,14 +36,19 @@ struct TcpTrunkOptions {
 /// flows, handing each to its per-flow TcpSink.
 class SinkHost final : public PacketSink {
  public:
-  void attach(int flow, TcpSink& sink) { sinks_.emplace(flow, &sink); }
+  /// Hands `flow`'s packets to `sink`. Flow ids index a dense table, so
+  /// they must be non-negative (std::invalid_argument otherwise); a
+  /// flow's first attachment stands.
+  void attach(int flow, TcpSink& sink);
   void receive_packet(Packet packet) override {
-    const auto it = sinks_.find(packet.flow);
-    if (it != sinks_.end()) it->second->receive_packet(packet);
+    const auto i = static_cast<std::size_t>(packet.flow);  // negative -> huge
+    if (i < sinks_.size() && sinks_[i] != nullptr) {
+      sinks_[i]->receive_packet(packet);
+    }
   }
 
  private:
-  std::unordered_map<int, TcpSink*> sinks_;
+  std::vector<TcpSink*> sinks_;  // indexed by flow id; null = unattached
 };
 
 /// Which congestion-control flavour a flow's sender runs.
@@ -130,7 +135,8 @@ class TcpNetwork {
     RouterId at;
     std::size_t port;
     std::unique_ptr<SinkHost> host;
-    sim::Time delay;  ///< host <-> router propagation delay
+    /// Host -> router link that carries every attached flow's ACKs.
+    PacketLink return_link;
   };
 
   sim::Simulator* sim_;

@@ -5,13 +5,20 @@
 // chaos verdict in the repo.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+
 #include "chaos/runner.h"
 #include "fault/fault_plan.h"
+#include "sim/simulator.h"
 #include "sim/time.h"
+#include "tcp/phantom_policies.h"
+#include "tcp/tcp_network.h"
 
 namespace phantom {
 namespace {
 
+using sim::Rate;
 using sim::Time;
 
 // The chaos CLI's default scenario (bottleneck, Phantom, 3 sessions,
@@ -66,6 +73,38 @@ TEST(KernelDeterminismTest, DifferentSeedsDiverge) {
   EXPECT_TRUE(ra.events != rb.events ||
               ra.settled_share_mbps != rb.settled_share_mbps)
       << "seed is being ignored: faulted runs came out identical";
+}
+
+// The TCP packet path: four Reno flows (access delays 3/6/12/24 ms)
+// through one 10 Mb/s selective-discard bottleneck, seed 1, 3 s. Links,
+// ports, timers and the policy's random drops all feed these counts, so
+// any change in event order or rng consumption moves at least one.
+TEST(KernelDeterminismTest, TcpBottleneckMatchesGolden) {
+  sim::Simulator sim{1};
+  tcp::TcpNetwork net{sim};
+  const auto r = net.add_router("r0");
+  tcp::TcpTrunkOptions opts;
+  opts.queue_limit = 60;
+  opts.policy = [](sim::Simulator& s, Rate rate) {
+    return std::make_unique<tcp::SelectiveDiscardPolicy>(
+        s, rate, tcp::kTcpUtilizationFactor);
+  };
+  const auto sink = net.add_sink_node(r, opts);
+  for (const std::int64_t ms : {3, 6, 12, 24}) {
+    net.add_flow(r, {}, sink, tcp::RenoConfig{}, Rate::mbps(100), Time::ms(ms));
+  }
+  net.start_all(Time::zero(), Time::ms(73));
+  sim.run_until(Time::sec(3));
+
+  // Goldens captured before the packet path moved onto kernel lanes.
+  EXPECT_EQ(sim.events_executed(), 35459u);
+  EXPECT_EQ(net.sink_port(sink).packets_dropped(), 179u);
+  const std::int64_t delivered[] = {910336, 356352, 620544, 322560};
+  const std::uint64_t timeouts[] = {5, 4, 2, 2};
+  for (std::size_t f = 0; f < 4; ++f) {
+    EXPECT_EQ(net.delivered_bytes(f), delivered[f]) << "flow " << f;
+    EXPECT_EQ(net.source(f).timeouts(), timeouts[f]) << "flow " << f;
+  }
 }
 
 }  // namespace

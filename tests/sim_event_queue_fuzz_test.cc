@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "sim/event_queue.h"
+#include "sim/simulator.h"
 #include "sim/time.h"
 
 namespace phantom::sim {
@@ -173,6 +174,26 @@ TEST(EventQueueLaneTest, LanesAreSharedByDelayAndLimited) {
   q.schedule(overflow, Time::ns(999), [] {});
   EXPECT_EQ(q.size(), 1u);
   EXPECT_EQ(q.pop().time, Time::ns(999));
+}
+
+TEST(EventQueueLaneTest, NinthDistinctDelayIsCountedAsHeapRequest) {
+  Simulator sim;
+  EXPECT_EQ(sim.lanes_in_use(), 0u);
+  for (std::size_t i = 0; i < EventQueue::kMaxLanes; ++i) {
+    (void)sim.lane(Time::us(1 + static_cast<std::int64_t>(i)));
+    // Asking again for a delay that already has a lane costs nothing.
+    (void)sim.lane(Time::us(1));
+  }
+  EXPECT_EQ(sim.lanes_in_use(), EventQueue::kMaxLanes);
+  EXPECT_EQ(sim.heap_lane_requests(), 0u);
+
+  const Lane ninth = sim.lane(Time::us(100));
+  EXPECT_FALSE(ninth.is_lane());
+  EXPECT_EQ(sim.lanes_in_use(), EventQueue::kMaxLanes);
+  EXPECT_EQ(sim.heap_lane_requests(), 1u);
+  // Every request for a delay left without a lane is counted.
+  (void)sim.lane(Time::us(100));
+  EXPECT_EQ(sim.heap_lane_requests(), 2u);
 }
 
 TEST(EventQueueLaneTest, NegativeLaneDelayThrows) {

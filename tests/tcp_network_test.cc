@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sim/simulator.h"
 
 namespace phantom::tcp {
@@ -22,6 +24,20 @@ TEST(TcpNetworkTest, SingleBottleneckWiring) {
   EXPECT_EQ(f0, 0u);
   EXPECT_EQ(f1, 1u);
   EXPECT_EQ(net.sink_port(s).policy().name(), "droptail");
+}
+
+TEST(SinkHostTest, NegativeFlowIdRejected) {
+  Simulator sim;
+  SinkHost host;
+  TcpSink sink{sim, 0, [](Packet) {}};
+  EXPECT_THROW(host.attach(-1, sink), std::invalid_argument);
+  host.attach(0, sink);
+  // A packet of an unattached or negative flow is ignored.
+  host.receive_packet(Packet::data(-1, 0, 512));
+  host.receive_packet(Packet::data(5, 0, 512));
+  EXPECT_EQ(sink.delivered_bytes(), 0);
+  host.receive_packet(Packet::data(0, 0, 512));
+  EXPECT_EQ(sink.delivered_bytes(), 512);
 }
 
 TEST(TcpNetworkTest, DataFlowsEndToEnd) {

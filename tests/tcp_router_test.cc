@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -67,6 +69,51 @@ TEST(PacketPortTest, DefaultPolicyIsDropTail) {
   PacketPort port{sim, Rate::mbps(10), 4, PacketLink{sim, Time::zero(), sink},
                   nullptr};
   EXPECT_EQ(port.policy().name(), "droptail");
+}
+
+TEST(PacketPortTest, MixedSizesCompleteOnTheirOwnLanes) {
+  // Data (552 B) and ACK (40 B) packets interleaved on one 10 Mb/s port:
+  // each transmission completes one serialization time after the last,
+  // on the lane for its own size, and the packets leave in FIFO order.
+  Simulator sim;
+  struct Stamped final : PacketSink {
+    explicit Stamped(const Simulator& s) : sim{&s} {}
+    void receive_packet(Packet p) override {
+      packets.push_back(p);
+      at.push_back(sim->now());
+    }
+    const Simulator* sim;
+    std::vector<Packet> packets;
+    std::vector<Time> at;
+  } sink{sim};
+  PacketPort port{sim, Rate::mbps(10), 64, PacketLink{sim, Time::zero(), sink},
+                  nullptr};
+  const Time data_tx = Time::ns(441'600);  // 552 B at 10 Mb/s
+  const Time ack_tx = Time::ns(32'000);    // 40 B at 10 Mb/s
+  const bool is_data[] = {true, false, true, false, false, true};
+  for (std::int64_t i = 0; i < 6; ++i) {
+    port.send(is_data[i] ? Packet::data(1, 512 * i, 512)
+                         : Packet::make_ack(1, 512 * i));
+  }
+  // A late arrival to an idle port starts its own serialization then.
+  sim.schedule_at(Time::ms(5), [&port] { port.send(Packet::make_ack(1, 0)); });
+  sim.run();
+
+  ASSERT_EQ(sink.packets.size(), 7u);
+  Time expected = Time::zero();
+  for (std::size_t i = 0; i < 6; ++i) {
+    expected += is_data[i] ? data_tx : ack_tx;
+    EXPECT_EQ(sink.at[i], expected) << "packet " << i;
+    EXPECT_EQ(sink.packets[i].kind,
+              is_data[i] ? PacketKind::kData : PacketKind::kAck);
+    EXPECT_EQ(is_data[i] ? sink.packets[i].seq : sink.packets[i].ack,
+              512 * static_cast<std::int64_t>(i));
+  }
+  EXPECT_EQ(expected, Time::ns(1'420'800));
+  EXPECT_EQ(sink.at[6], Time::ms(5) + ack_tx);
+  // One lane for the link's zero delay, one per packet size.
+  EXPECT_EQ(sim.lanes_in_use(), 3u);
+  EXPECT_EQ(sim.heap_lane_requests(), 0u);
 }
 
 /// Drops every data packet; never touches anything else.
@@ -146,6 +193,15 @@ TEST(RouterTest, DuplicateRouteRejected) {
   RouterFixture f;
   EXPECT_THROW(f.router.route_flow(1, f.fwd_port, f.bwd_port),
                std::invalid_argument);
+}
+
+TEST(RouterTest, NegativeFlowIdRejected) {
+  RouterFixture f;
+  EXPECT_THROW(f.router.route_flow(-1, f.fwd_port, f.bwd_port),
+               std::invalid_argument);
+  // Packet::flow defaults to -1: such a packet is unrouted, not routed.
+  f.router.receive_packet(Packet{});
+  EXPECT_EQ(f.router.unrouted_packets(), 1u);
 }
 
 TEST(RouterTest, BadPortIndexRejected) {
