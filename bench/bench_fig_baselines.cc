@@ -17,23 +17,12 @@ using sim::Time;
 
 namespace {
 
-const sim::Trace& fair_share_trace(const atm::PortController& ctl) {
-  if (const auto* e = dynamic_cast<const baselines::EprcaController*>(&ctl)) {
-    return e->macr_trace();
-  }
-  if (const auto* a = dynamic_cast<const baselines::AprcController*>(&ctl)) {
-    return a->macr_trace();
-  }
-  if (const auto* c = dynamic_cast<const baselines::CapcController*>(&ctl)) {
-    return c->ers_trace();
-  }
-  return dynamic_cast<const core::PhantomController&>(ctl).macr_trace();
-}
-
 void greedy_figure(exp::Algorithm alg, const char* fig) {
   sim::Simulator sim;
   AbrBottleneck b{sim, alg, 5};
-  exp::QueueSampler queue{sim, b.port()};
+  std::vector<sim::Sample> share;
+  b.port().controller().set_fair_share_history(&share, sim.now());
+  exp::Sampler queue{sim, exp::queue_length_of(b.port())};
   exp::GoodputProbe probe{sim, b.net};
   b.net.start_all(Time::zero(), Time::zero());
   sim.run_until(Time::ms(300));
@@ -42,10 +31,8 @@ void greedy_figure(exp::Algorithm alg, const char* fig) {
 
   std::printf("\n--- %s: %s, 5 greedy sessions ---\n", fig,
               exp::to_string(alg).c_str());
-  exp::print_series("fair-share estimate (Mb/s)",
-                    fair_share_trace(b.port().controller()).samples(), 1e-6,
-                    20);
-  exp::print_series("queue (cells)", queue.trace().samples(), 1.0, 20);
+  exp::print_series("fair-share estimate (Mb/s)", share, 1e-6, 20);
+  exp::print_series("queue (cells)", queue.samples(), 1.0, 20);
   const auto rates = probe.rates_mbps();
   double mean = 0;
   for (const double r : rates) mean += r;

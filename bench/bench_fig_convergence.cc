@@ -22,18 +22,19 @@ int main() {
   for (const int n : {2, 5, 10}) {
     sim::Simulator sim;
     AbrBottleneck b{sim, exp::Algorithm::kPhantom, n};
-    exp::QueueSampler queue{sim, b.port()};
+    std::vector<sim::Sample> macr;
+    std::vector<sim::Sample> acr;
+    b.port().controller().set_fair_share_history(&macr, sim.now());
+    b.net.source(0).set_acr_history(&acr);
+    exp::Sampler queue{sim, exp::queue_length_of(b.port())};
     exp::GoodputProbe probe{sim, b.net};
     b.net.start_all(Time::zero(), Time::zero());
     sim.run_until(Time::ms(300));
     probe.mark();
     sim.run_until(Time::ms(400));
 
-    const auto& ctl = dynamic_cast<const core::PhantomController&>(
-        b.port().controller());
     const double ideal = 0.95 * 150.0 / (n + 1);
-    const auto settle = stats::convergence_time(ctl.macr_trace().samples(),
-                                                ideal * 1e6, 0.10);
+    const auto settle = stats::convergence_time(macr, ideal * 1e6, 0.10);
     const auto rates = probe.rates_mbps();
     double mean = 0;
     for (const double r : rates) mean += r;
@@ -47,12 +48,9 @@ int main() {
                    std::to_string(b.port().queue_length())});
 
     if (n == 2) {  // the figure's curves, for the base case
-      exp::print_series("MACR, n=2 (Mb/s)", ctl.macr_trace().samples(), 1e-6,
-                        20);
-      exp::print_series("session 0 allowed rate (Mb/s)",
-                        b.net.source(0).acr_trace().samples(), 1e-6, 20);
-      exp::print_series("queue length (cells)", queue.trace().samples(), 1.0,
-                        20);
+      exp::print_series("MACR, n=2 (Mb/s)", macr, 1e-6, 20);
+      exp::print_series("session 0 allowed rate (Mb/s)", acr, 1e-6, 20);
+      exp::print_series("queue length (cells)", queue.samples(), 1.0, 20);
     }
   }
   table.print();

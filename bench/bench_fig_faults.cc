@@ -70,8 +70,8 @@ RunResult run_case(exp::Algorithm alg, std::uint64_t seed) {
           .burst(fault::trunk(t12), Time::ms(330), Time::ms(40), 0.2, 0.5, 0.6)
           .restart(fault::trunk(t01), restart_at));
   fault::InvariantMonitor monitor{sim, net};
-  exp::FairShareSampler share{sim, net.trunk_port(t01).controller()};
-  exp::QueueSampler queue{sim, net.trunk_port(t01)};
+  exp::Sampler share{sim, exp::fair_share_of(net.trunk_port(t01).controller())};
+  exp::Sampler queue{sim, exp::queue_length_of(net.trunk_port(t01))};
   exp::GoodputProbe probe{sim, net};
 
   net.start_all(Time::zero(), Time::zero());
@@ -85,26 +85,26 @@ RunResult run_case(exp::Algorithm alg, std::uint64_t seed) {
   // Operating point = the algorithm's own pre-fault mean fair share; the
   // recovery question is "does it come back to where it was", which is
   // algorithm-independent even though the operating points differ.
-  r.target_mbps = stats::mean_in_window(share.trace().samples(), Time::ms(150),
+  r.target_mbps = stats::mean_in_window(share.samples(), Time::ms(150),
                                         outage_at) *
                   1e-6;
   r.reconverge = stats::time_to_reconverge(
-      share.trace().samples(), outage_at, r.target_mbps * 1e6, kRelTol);
-  r.peak_queue = stats::peak_in_window(queue.trace().samples(), outage_at, end);
+      share.samples(), outage_at, r.target_mbps * 1e6, kRelTol);
+  r.peak_queue = stats::peak_in_window(queue.samples(), outage_at, end);
   const auto rates = probe.rates_mbps();
   r.post_fault_jain = stats::jain_index(rates);
   r.violations = monitor.violations().size();
-  r.final_share_mbps = share.trace().last_or(0.0) * 1e-6;
+  r.final_share_mbps = share.samples().back().value * 1e-6;
 
   if (seed == kSeeds[0]) {
     exp::maybe_dump_series("fig_faults", "share_" + r.algorithm,
-                           share.trace().samples(), 1e-6);
+                           share.samples(), 1e-6);
     exp::maybe_dump_series("fig_faults", "queue_" + r.algorithm,
-                           queue.trace().samples());
+                           queue.samples());
     if (alg == exp::Algorithm::kPhantom) {
       exp::print_fault_log(injector.log());
       exp::print_series("Phantom MACR on trunk0 (Mb/s, seed 1)",
-                        share.trace().samples(), 1e-6, 30);
+                        share.samples(), 1e-6, 30);
     }
   }
   return r;

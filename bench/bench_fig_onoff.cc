@@ -15,7 +15,9 @@ int main() {
 
   sim::Simulator sim;
   AbrBottleneck b{sim, exp::Algorithm::kPhantom, 3};
-  exp::QueueSampler queue{sim, b.port()};
+  std::vector<sim::Sample> macr;
+  b.port().controller().set_fair_share_history(&macr, sim.now());
+  exp::Sampler queue{sim, exp::queue_length_of(b.port())};
   b.net.start_all(Time::zero(), Time::zero());
   topo::OnOffDriver::Options opt;
   opt.on_period = Time::ms(60);
@@ -34,10 +36,8 @@ int main() {
   sim.run_until(Time::ms(475));
   const auto off_rates = probe.rates_mbps();
 
-  const auto& ctl =
-      dynamic_cast<const core::PhantomController&>(b.port().controller());
-  exp::print_series("MACR (Mb/s)", ctl.macr_trace().samples(), 1e-6, 25);
-  exp::print_series("queue (cells)", queue.trace().samples(), 1.0, 25);
+  exp::print_series("MACR (Mb/s)", macr, 1e-6, 25);
+  exp::print_series("queue (cells)", queue.samples(), 1.0, 25);
 
   exp::Table table{{"session", "ON phase (Mb/s)", "OFF phase (Mb/s)"}};
   const char* names[] = {"greedy 0", "greedy 1", "on/off"};

@@ -86,22 +86,22 @@ SweepResult run_sweep(exp::Algorithm alg, double loss, bool decay) {
                                                    kBlackholeLen, loss));
   }
   fault::InvariantMonitor monitor{sim, net};
-  exp::FairShareSampler share{sim, net.dest_port(dest).controller()};
-  exp::QueueSampler queue{sim, net.dest_port(dest)};
+  exp::Sampler share{sim, exp::fair_share_of(net.dest_port(dest).controller())};
+  exp::Sampler queue{sim, exp::queue_length_of(net.dest_port(dest))};
 
   net.start_all(Time::zero(), Time::zero());
   sim.run_until(kEnd);
   monitor.check_now();
 
   SweepResult r;
-  r.target_mbps = stats::mean_in_window(share.trace().samples(), Time::ms(150),
+  r.target_mbps = stats::mean_in_window(share.samples(), Time::ms(150),
                                         kBlackholeAt) *
                   1e-6;
-  const auto smoothed = stats::smooth_series(share.trace().samples(), kSmooth);
+  const auto smoothed = stats::smooth_series(share.samples(), kSmooth);
   r.reconverge = stats::time_to_reconverge(
       smoothed, kBlackholeAt + kBlackholeLen, r.target_mbps * 1e6, kRelTol);
   r.peak_queue =
-      stats::peak_in_window(queue.trace().samples(), kBlackholeAt, kEnd);
+      stats::peak_in_window(queue.samples(), kBlackholeAt, kEnd);
   for (const auto& v : monitor.violations()) {
     if (v.invariant == "stale-rate") {
       ++r.stale_violations;
@@ -112,7 +112,7 @@ SweepResult run_sweep(exp::Algorithm alg, double loss, bool decay) {
   if (alg == exp::Algorithm::kPhantom && loss == 1.0) {
     exp::maybe_dump_series("fig_selfheal",
                            decay ? "share_decay_on" : "share_decay_off",
-                           share.trace().samples(), 1e-6);
+                           share.samples(), 1e-6);
   }
   return r;
 }
@@ -136,16 +136,16 @@ RestartResult run_restart(exp::Algorithm alg, bool warm) {
 
   fault::FaultInjector injector{sim, net};
   injector.apply(fault::FaultPlan{}.restart(fault::dest(0), restart_at, warm));
-  exp::FairShareSampler share{sim, net.dest_port(dest).controller()};
+  exp::Sampler share{sim, exp::fair_share_of(net.dest_port(dest).controller())};
 
   net.start_all(Time::zero(), Time::zero());
   sim.run_until(kEnd);
 
   RestartResult r;
-  r.target_mbps = stats::mean_in_window(share.trace().samples(), Time::ms(300),
+  r.target_mbps = stats::mean_in_window(share.samples(), Time::ms(300),
                                         restart_at) *
                   1e-6;
-  const auto smoothed = stats::smooth_series(share.trace().samples(), kSmooth);
+  const auto smoothed = stats::smooth_series(share.samples(), kSmooth);
   r.summary = stats::summarize_recovery(smoothed, restart_at,
                                         r.target_mbps * 1e6, kRelTol);
   if (const auto* audit = net.dest_port(dest).controller().warm_audit()) {

@@ -15,7 +15,9 @@ int main() {
 
   sim::Simulator sim;
   AbrBottleneck b{sim, exp::Algorithm::kPhantom, 4};
-  exp::QueueSampler queue{sim, b.port()};
+  std::vector<sim::Sample> macr;
+  b.port().controller().set_fair_share_history(&macr, sim.now());
+  exp::Sampler queue{sim, exp::queue_length_of(b.port())};
   // Session 0,1 start at t=0; 2 joins at 150 ms; 3 joins at 300 ms;
   // session 1 leaves at 450 ms.
   b.net.source(0).start(Time::zero());
@@ -56,10 +58,8 @@ int main() {
   }
   table.print();
 
-  const auto& ctl =
-      dynamic_cast<const core::PhantomController&>(b.port().controller());
-  exp::print_series("MACR (Mb/s)", ctl.macr_trace().samples(), 1e-6, 30);
-  exp::print_series("queue (cells)", queue.trace().samples(), 1.0, 20);
+  exp::print_series("MACR (Mb/s)", macr, 1e-6, 30);
+  exp::print_series("queue (cells)", queue.samples(), 1.0, 20);
   std::printf("\nmax queue: %zu cells, drops: %llu\n",
               b.port().max_queue_length(),
               static_cast<unsigned long long>(b.port().cells_dropped()));

@@ -53,6 +53,8 @@ int main() {
                          exp::Algorithm::kErica}) {
     sim::Simulator sim;
     AbrBottleneck b{sim, alg, 5};
+    obs::Histogram delays = obs::Histogram::linear(100.0, 1000);  // ms
+    b.net.destination(b.dest).set_delay_sink(&delays);
     exp::GoodputProbe probe{sim, b.net};
     b.net.start_all(Time::zero(), Time::zero());
     probe.mark();
@@ -73,9 +75,7 @@ int main() {
                    exp::Table::num(early),
                    std::to_string(b.port().max_queue_length()),
                    std::to_string(b.port().queue_length()),
-                   exp::Table::num(
-                       b.net.destination(b.dest).delay_histogram().quantile(0.99),
-                       3),
+                   exp::Table::num(delays.quantile(0.99), 3),
                    exp::Table::num(beatdown_ratio(alg), 2)});
   }
   table.print();

@@ -405,14 +405,14 @@ struct FaultHarness {
       : injector{sim, net},
         monitor{(injector.set_event_log(events), injector.apply(p), sim),
                 net},
-        share{sim, bottleneck.controller()},
+        share{sim, exp::fair_share_of(bottleneck.controller())},
         plan{p} {
     monitor.set_event_log(events);
   }
 
   fault::FaultInjector injector;
   fault::InvariantMonitor monitor;
-  exp::FairShareSampler share;
+  exp::Sampler share;
   fault::FaultPlan plan;
 };
 
@@ -492,9 +492,9 @@ void report_faults(const FaultHarness& h) {
   // share over the half-window before the first fault) within 10%.
   const sim::Time first = h.plan.first_fault_time();
   const double target =
-      stats::mean_in_window(h.share.trace().samples(), first * 0.5, first);
+      stats::mean_in_window(h.share.samples(), first * 0.5, first);
   const auto latency =
-      stats::time_to_reconverge(h.share.trace().samples(), first, target);
+      stats::time_to_reconverge(h.share.samples(), first, target);
   if (latency) {
     std::printf(
         "reconverged to pre-fault share (%.2f Mb/s +/- 10%%) %.3f ms after "
@@ -508,7 +508,7 @@ void report_faults(const FaultHarness& h) {
 
 void report_abr(sim::Simulator& sim, topo::AbrNetwork& net,
                 atm::OutputPort& bottleneck, const Args& args,
-                const sim::Trace& queue_trace,
+                const exp::Sampler& queue,
                 const FaultHarness* faults = nullptr) {
   exp::GoodputProbe probe{sim, net};
   const Time horizon = Time::from_seconds(args.duration_ms / 1e3);
@@ -535,11 +535,11 @@ void report_abr(sim::Simulator& sim, topo::AbrNetwork& net,
     report_faults(*faults);
   }
   if (!args.csv.empty()) {
-    exp::write_series_csv(args.csv + "_queue.csv", queue_trace.samples());
+    exp::write_series_csv(args.csv + "_queue.csv", queue.samples());
     std::printf("wrote %s_queue.csv\n", args.csv.c_str());
     if (faults != nullptr) {
       exp::write_series_csv(args.csv + "_share.csv",
-                            faults->share.trace().samples(), 1e-6);
+                            faults->share.samples(), 1e-6);
       std::printf("wrote %s_share.csv\n", args.csv.c_str());
     }
   }
@@ -660,7 +660,7 @@ int run_abr_scenario(const Args& args, exp::Algorithm alg) {
                     args.metrics_interval_ms);
     if (!metrics->ok()) return 2;
   }
-  exp::QueueSampler queue{sim, bottleneck};
+  exp::Sampler queue{sim, exp::queue_length_of(bottleneck)};
   std::optional<topo::OnOffDriver> driver;
   if (args.scenario == "onoff") {
     topo::OnOffDriver::Options opt;  // last session toggles
@@ -679,7 +679,7 @@ int run_abr_scenario(const Args& args, exp::Algorithm alg) {
           : exp::to_string(alg) + ", " + std::to_string(args.sessions) +
                 " sessions @ " + exp::Table::num(args.rate_mbps, 0) + " Mb/s";
   exp::print_header("cli:" + args.scenario, detail);
-  report_abr(sim, net, bottleneck, args, queue.trace(),
+  report_abr(sim, net, bottleneck, args, queue,
              faults ? &*faults : nullptr);
   if (!args.feedback_decay) {
     std::printf("feedback-loss decay: DISABLED (ablation)\n");

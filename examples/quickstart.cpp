@@ -32,8 +32,10 @@ int main() {
   constexpr int kSessions = 3;
   for (int i = 0; i < kSessions; ++i) net.add_session(sw, {}, dest);
 
-  // 2. Instrument: sample the queue and run a goodput probe.
-  exp::QueueSampler queue{sim, net.dest_port(dest)};
+  // 2. Instrument: record MACR, sample the queue, run a goodput probe.
+  std::vector<sim::Sample> macr;
+  net.dest_port(dest).controller().set_fair_share_history(&macr, sim.now());
+  exp::Sampler queue{sim, exp::queue_length_of(net.dest_port(dest))};
   exp::GoodputProbe goodput{sim, net};
 
   // 3. Run: everything starts at t = 0; measure over the last 100 ms.
@@ -44,10 +46,8 @@ int main() {
 
   // 4. Report.
   exp::print_header("quickstart", "3 greedy sessions, one 150 Mb/s link");
-  const auto& controller = dynamic_cast<const core::PhantomController&>(
-      net.dest_port(dest).controller());
-  exp::print_series("MACR (Mb/s)", controller.macr_trace().samples(), 1e-6, 15);
-  exp::print_series("queue (cells)", queue.trace().samples(), 1.0, 15);
+  exp::print_series("MACR (Mb/s)", macr, 1e-6, 15);
+  exp::print_series("queue (cells)", queue.samples(), 1.0, 15);
 
   const auto rates = goodput.rates_mbps();
   exp::Table table{{"session", "goodput (Mb/s)", "ideal u*C/(n+1)"}};

@@ -6,8 +6,8 @@
 
 #include "atm/cell.h"
 #include "atm/link.h"
+#include "obs/metrics.h"
 #include "sim/simulator.h"
-#include "stats/histogram.h"
 
 namespace phantom::atm {
 
@@ -65,23 +65,19 @@ class AbrDestination final : public CellSink {
   [[nodiscard]] Link& link() { return link_; }
   [[nodiscard]] const Link& link() const { return link_; }
 
-  /// End-to-end delay distribution (ms) of received data cells; the
-  /// paper's "moderate queue" claim, expressed in time. Bins cover
-  /// [0, 100 ms); later spikes land in the overflow bin.
-  [[nodiscard]] const stats::Histogram& delay_histogram() const {
-    return delays_;
-  }
+  /// Attaches a histogram (nullptr detaches) that observes the
+  /// end-to-end delay in ms of every later data cell — the paper's
+  /// "moderate queue" claim, expressed in time. A destination with no
+  /// histogram attached records no distribution. The histogram must
+  /// outlive the attachment.
+  void set_delay_sink(obs::Histogram* hist) { delays_ = hist; }
 
-  /// Per-VC delay statistics (ms); zero for unknown VCs.
+  /// Mean end-to-end delay (ms) of a VC's data cells; zero for unknown VCs.
   [[nodiscard]] double mean_delay_ms(int vc) const {
     const VcState* st = find_vc(vc);
     return st == nullptr || st->data_cells == 0
                ? 0.0
                : st->delay_sum_ms / static_cast<double>(st->data_cells);
-  }
-  [[nodiscard]] double max_delay_ms(int vc) const {
-    const VcState* st = find_vc(vc);
-    return st == nullptr ? 0.0 : st->delay_max_ms;
   }
 
  private:
@@ -89,7 +85,6 @@ class AbrDestination final : public CellSink {
     bool efci_latched = false;
     std::uint64_t data_cells = 0;
     double delay_sum_ms = 0.0;
-    double delay_max_ms = 0.0;
     bool frame_open = false;        // cells of cur_frame_id seen, no EOM yet
     std::uint32_t cur_frame_id = 0;
     std::uint32_t cur_frame_cells = 0;
@@ -112,7 +107,7 @@ class AbrDestination final : public CellSink {
   std::uint64_t rm_turned_ = 0;
   std::uint64_t total_frames_good_ = 0;
   std::uint64_t total_frames_corrupted_ = 0;
-  stats::Histogram delays_{100.0, 1000};  // ms, 0.1 ms bins
+  obs::Histogram* delays_ = nullptr;
 };
 
 }  // namespace phantom::atm

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "atm/abr_params.h"
 #include "atm/cell.h"
@@ -12,7 +13,6 @@
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "sim/simulator.h"
-#include "sim/trace.h"
 
 namespace phantom::atm {
 
@@ -123,9 +123,11 @@ class AbrSource final : public CellSink {
   /// Self-addressed forged backward RM cells emitted while kForging.
   [[nodiscard]] std::uint64_t forged_brm_sent() const { return forged_brm_sent_; }
 
-  /// ACR over time; recorded at every rate change (the paper's
-  /// "sessions' allowed rate" curves).
-  [[nodiscard]] const sim::Trace& acr_trace() const { return acr_trace_; }
+  /// Attaches an ACR history sink (nullptr detaches): every later rate
+  /// change, including the initial rate at start, appends {now, ACR in
+  /// b/s} (the paper's "sessions' allowed rate" curves). A source with
+  /// no sink keeps no history. The sink must outlive the attachment.
+  void set_acr_history(std::vector<sim::Sample>* sink) { acr_history_ = sink; }
 
   /// Attaches the structured event log: every ACR change records a
   /// kSourceRate event on this source's VC track.
@@ -170,7 +172,7 @@ class AbrSource final : public CellSink {
   SourceBehavior behavior_ = SourceBehavior::kCompliant;
   double compliance_ = 1.0;        // kPartial only: 1 = obeys ER fully
   std::uint64_t forged_brm_sent_ = 0;
-  sim::Trace acr_trace_;
+  std::vector<sim::Sample>* acr_history_ = nullptr;
   obs::EventLog* event_log_ = nullptr;
 };
 

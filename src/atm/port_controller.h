@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "atm/cell.h"
 #include "obs/event_log.h"
@@ -151,8 +152,8 @@ class PortController {
     return false;
   }
 
-  /// The algorithm's current fair-share estimate (MACR / ERS), traced by
-  /// the experiment harness — the quantity the paper's figures plot.
+  /// The algorithm's current fair-share estimate (MACR / ERS) — the
+  /// quantity the paper's figures plot.
   [[nodiscard]] virtual sim::Rate fair_share() const = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;
@@ -164,6 +165,17 @@ class PortController {
     event_log_ = log;
     obs_node_ = static_cast<std::int16_t>(node);
     obs_port_ = static_cast<std::int16_t>(port);
+  }
+
+  /// Attaches a history sink (nullptr detaches): every later fair-share
+  /// recomputation, reset and warm-start seed appends {now, fair share
+  /// in b/s}, and attaching appends the current value once. A controller
+  /// with no sink keeps no history. The sink must outlive the attachment.
+  void set_fair_share_history(std::vector<sim::Sample>* sink, sim::Time now) {
+    history_ = sink;
+    if (history_ != nullptr) {
+      history_->push_back({now, fair_share().bits_per_sec()});
+    }
   }
 
   /// Registers this controller's metrics under `prefix`. The base
@@ -186,8 +198,13 @@ class PortController {
   }
 
  protected:
-  /// Implementations call this after each fair-share recomputation.
+  /// The one place a fair-share change is recorded: implementations call
+  /// this after each recomputation, reset() and warm-start seed. It
+  /// appends to the attached history and records a kRateUpdate.
   void note_rate_update(sim::Time now) {
+    if (history_ != nullptr) {
+      history_->push_back({now, fair_share().bits_per_sec()});
+    }
     if constexpr (obs::kObsEnabled) {
       if (event_log_ != nullptr) {
         obs::Event e;
@@ -198,12 +215,11 @@ class PortController {
         e.a = fair_share().mbits_per_sec();
         event_log_->record(e);
       }
-    } else {
-      (void)now;
     }
   }
 
  private:
+  std::vector<sim::Sample>* history_ = nullptr;
   obs::EventLog* event_log_ = nullptr;
   std::int16_t obs_node_ = -1;
   std::int16_t obs_port_ = -1;

@@ -50,9 +50,9 @@ struct Rig {
 }
 
 [[nodiscard]] double settled_share_bps(const ScenarioSpec& spec,
-                                       const exp::FairShareSampler& share) {
+                                       const exp::Sampler& share) {
   const Time window = std::min(spec.horizon, Time::ms(50));
-  return stats::mean_in_window(share.trace().samples(), spec.horizon - window,
+  return stats::mean_in_window(share.samples(), spec.horizon - window,
                                spec.horizon);
 }
 
@@ -92,7 +92,7 @@ std::optional<Verdict> verdict_from_string(const std::string& name) {
 Baseline run_baseline(const ScenarioSpec& spec, std::uint64_t seed,
                       const TrialOptions& opt) {
   Rig rig{spec, seed};
-  exp::FairShareSampler share{rig.sim, rig.bottleneck->controller()};
+  exp::Sampler share{rig.sim, exp::fair_share_of(rig.bottleneck->controller())};
   if (opt.prepare) opt.prepare(rig.sim, rig.net);
   rig.net.start_all(Time::zero(), Time::zero());
   const sim::RunOutcome outcome =
@@ -133,8 +133,8 @@ TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed,
   }
   fault::InvariantMonitor monitor{rig.sim, rig.net, opt.oracle.monitor_period};
   monitor.set_event_log(&log, kFlightTailDepth);
-  exp::FairShareSampler share{rig.sim, rig.bottleneck->controller()};
-  exp::QueueSampler queue{rig.sim, *rig.bottleneck};
+  exp::Sampler share{rig.sim, exp::fair_share_of(rig.bottleneck->controller())};
+  exp::Sampler queue{rig.sim, exp::queue_length_of(*rig.bottleneck)};
   if (opt.prepare) opt.prepare(rig.sim, rig.net);
   rig.net.start_all(Time::zero(), Time::zero());
 
@@ -151,7 +151,7 @@ TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed,
   r.events = rig.sim.events_executed();
   r.violations = monitor.violations().size();
   r.peak_queue_cells =
-      stats::peak_in_window(queue.trace().samples(), Time::zero(), spec.horizon);
+      stats::peak_in_window(queue.samples(), Time::zero(), spec.horizon);
   r.settled_share_mbps = settled_share_bps(spec, share) * 1e-6;
 
   // 1. Watchdog: a run that exhausted its budgets has no meaningful
@@ -180,13 +180,13 @@ TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed,
   // deadline after the last fault stops perturbing the network.
   if (!plan.empty()) {
     const Time first = plan.first_fault_time();
-    const double target = stats::mean_in_window(share.trace().samples(),
+    const double target = stats::mean_in_window(share.samples(),
                                                 first * 0.5, first);
     const Time required_by =
         plan.last_recovery_time() + opt.oracle.recovery_deadline;
     if (target > 0.0 && required_by + opt.oracle.hold <= spec.horizon) {
       r.reconverge_latency =
-          stats::time_to_reconverge(share.trace().samples(), first, target,
+          stats::time_to_reconverge(share.samples(), first, target,
                                     opt.oracle.rel_tol, opt.oracle.hold);
       if (!r.reconverge_latency) {
         r.verdict = Verdict::kNoReconverge;

@@ -1,5 +1,7 @@
 #include "exp/probes.h"
 
+#include <utility>
+
 #include "atm/cell.h"
 
 namespace phantom::exp {
@@ -16,8 +18,8 @@ std::vector<double> GoodputProbe::rates_mbps() const {
   std::vector<double> out;
   const double secs = (sim_->now() - t0_).seconds();
   for (std::size_t s = 0; s < net_->num_sessions(); ++s) {
-    const double cells =
-        static_cast<double>(net_->delivered_cells(s) - base_[s]);
+    const std::uint64_t base = s < base_.size() ? base_[s] : 0;
+    const double cells = static_cast<double>(net_->delivered_cells(s) - base);
     out.push_back(secs > 0 ? cells * atm::kCellBits / secs / 1e6 : 0.0);
   }
   return out;
@@ -29,30 +31,22 @@ double GoodputProbe::total_mbps() const {
   return total;
 }
 
-QueueSampler::QueueSampler(sim::Simulator& sim, const atm::OutputPort& port,
-                           sim::Time period)
-    : sim_{&sim}, port_{&port}, period_{period}, trace_{"queue"} {
+Sampler::Sampler(sim::Simulator& sim, Getter value, sim::Time period)
+    : sim_{&sim}, value_{std::move(value)}, period_{period} {
   sim_->schedule(sim::Time::zero(), [this] { tick(); });
 }
 
-void QueueSampler::tick() {
-  trace_.record(sim_->now(), static_cast<double>(port_->queue_length()));
+void Sampler::tick() {
+  samples_.push_back({sim_->now(), value_()});
   sim_->schedule(period_, [this] { tick(); });
 }
 
-FairShareSampler::FairShareSampler(sim::Simulator& sim,
-                                   const atm::PortController& controller,
-                                   sim::Time period)
-    : sim_{&sim},
-      controller_{&controller},
-      period_{period},
-      trace_{"fair_share"} {
-  sim_->schedule(sim::Time::zero(), [this] { tick(); });
+Sampler::Getter queue_length_of(const atm::OutputPort& port) {
+  return [&port] { return static_cast<double>(port.queue_length()); };
 }
 
-void FairShareSampler::tick() {
-  trace_.record(sim_->now(), controller_->fair_share().bits_per_sec());
-  sim_->schedule(period_, [this] { tick(); });
+Sampler::Getter fair_share_of(const atm::PortController& controller) {
+  return [&controller] { return controller.fair_share().bits_per_sec(); };
 }
 
 }  // namespace phantom::exp

@@ -2,11 +2,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "atm/output_port.h"
 #include "sim/simulator.h"
-#include "sim/trace.h"
 #include "topo/abr_network.h"
 
 namespace phantom::exp {
@@ -16,13 +16,17 @@ namespace phantom::exp {
 /// numbers are measured (rates of *useful* data cells, not ACR).
 class GoodputProbe {
  public:
+  /// Opens the first window at the current time.
   GoodputProbe(sim::Simulator& sim, topo::AbrNetwork& net)
-      : sim_{&sim}, net_{&net} {}
+      : sim_{&sim}, net_{&net} {
+    mark();
+  }
 
   /// Starts (or restarts) the measurement window at the current time.
   void mark();
 
-  /// Per-session goodput in Mb/s since the last mark().
+  /// Per-session goodput in Mb/s since the last mark(). A session added
+  /// after it counts every cell it delivered.
   [[nodiscard]] std::vector<double> rates_mbps() const;
 
   /// Aggregate goodput in Mb/s since the last mark().
@@ -35,45 +39,39 @@ class GoodputProbe {
   std::vector<std::uint64_t> base_;
 };
 
-/// Samples a port's queue length into a Trace on a fixed period — the
-/// paper's "Queue length" curves.
-class QueueSampler {
+/// Samples a value on a fixed period: the first sample at construction
+/// time, then one per period. Queue length and fair share over time are
+/// the paper's "Queue length" and MACR curves (see queue_length_of() and
+/// fair_share_of()).
+class Sampler {
  public:
-  QueueSampler(sim::Simulator& sim, const atm::OutputPort& port,
-               sim::Time period = sim::Time::us(500));
+  using Getter = std::function<double()>;
 
-  QueueSampler(const QueueSampler&) = delete;
-  QueueSampler& operator=(const QueueSampler&) = delete;
+  Sampler(sim::Simulator& sim, Getter value,
+          sim::Time period = sim::Time::us(500));
 
-  [[nodiscard]] const sim::Trace& trace() const { return trace_; }
+  Sampler(const Sampler&) = delete;
+  Sampler& operator=(const Sampler&) = delete;
+
+  [[nodiscard]] const std::vector<sim::Sample>& samples() const {
+    return samples_;
+  }
 
  private:
   void tick();
 
   sim::Simulator* sim_;
-  const atm::OutputPort* port_;
+  Getter value_;
   sim::Time period_;
-  sim::Trace trace_;
+  std::vector<sim::Sample> samples_;
 };
 
-/// Samples a controller's fair-share estimate (MACR / ERS) into a Trace.
-class FairShareSampler {
- public:
-  FairShareSampler(sim::Simulator& sim, const atm::PortController& controller,
-                   sim::Time period = sim::Time::us(500));
+/// A port's queue length in cells. The getters below read their
+/// argument by reference, so it must outlive the Sampler.
+[[nodiscard]] Sampler::Getter queue_length_of(const atm::OutputPort& port);
 
-  FairShareSampler(const FairShareSampler&) = delete;
-  FairShareSampler& operator=(const FairShareSampler&) = delete;
-
-  [[nodiscard]] const sim::Trace& trace() const { return trace_; }
-
- private:
-  void tick();
-
-  sim::Simulator* sim_;
-  const atm::PortController* controller_;
-  sim::Time period_;
-  sim::Trace trace_;
-};
+/// A controller's fair-share estimate (MACR / ERS) in b/s.
+[[nodiscard]] Sampler::Getter fair_share_of(
+    const atm::PortController& controller);
 
 }  // namespace phantom::exp

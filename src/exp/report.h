@@ -7,7 +7,7 @@
 
 #include "fault/fault_injector.h"
 #include "fault/invariant_monitor.h"
-#include "sim/trace.h"
+#include "sim/time.h"
 
 namespace phantom::exp {
 

@@ -50,11 +50,39 @@ Histogram::Histogram(std::vector<double> upper_bounds)
   }
 }
 
+Histogram Histogram::linear(double upper, std::size_t buckets) {
+  std::vector<double> bounds(buckets);
+  for (std::size_t i = 0; i < buckets; ++i) {
+    bounds[i] =
+        upper * static_cast<double>(i + 1) / static_cast<double>(buckets);
+  }
+  return Histogram{std::move(bounds)};
+}
+
 void Histogram::observe(double value) {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
   ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
   ++count_;
   sum_ += value;
+}
+
+double Histogram::quantile(double q) const {
+  if (!(q >= 0.0 && q <= 1.0)) {
+    throw std::invalid_argument{"quantile must be in [0, 1]"};
+  }
+  if (count_ == 0) return 0.0;
+  const double target = q * static_cast<double>(count_);
+  double cumulative = 0.0;
+  for (std::size_t b = 0; b < bounds_.size(); ++b) {
+    const double n = static_cast<double>(counts_[b]);
+    if (cumulative + n >= target) {
+      const double lower = b == 0 ? 0.0 : bounds_[b - 1];
+      const double within = n == 0.0 ? 0.0 : (target - cumulative) / n;
+      return lower + within * (bounds_[b] - lower);
+    }
+    cumulative += n;
+  }
+  return bounds_.empty() ? 0.0 : bounds_.back();  // in the overflow bucket
 }
 
 void Histogram::reset() {

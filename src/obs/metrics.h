@@ -12,7 +12,8 @@
 // The registry is *pull-based*: counters and gauges are sampler
 // callbacks reading the component's existing fields, so registration
 // adds no per-cell cost anywhere. Histograms are the one push-style
-// type (components observe into an obs::Histogram they own). Sampler
+// type (components observe into an obs::Histogram they own or that a
+// reader attached, e.g. AbrDestination::set_delay_sink). Sampler
 // callbacks capture component pointers — the registry must not outlive
 // the network it samples.
 #pragma once
@@ -54,6 +55,9 @@ class Histogram {
  public:
   explicit Histogram(std::vector<double> upper_bounds);
 
+  /// `buckets` equal-width buckets covering [0, upper].
+  [[nodiscard]] static Histogram linear(double upper, std::size_t buckets);
+
   void observe(double value);
 
   [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
@@ -63,6 +67,14 @@ class Histogram {
   }
   [[nodiscard]] std::uint64_t count() const { return count_; }
   [[nodiscard]] double sum() const { return sum_; }
+
+  /// Value at quantile q in [0, 1], interpolated linearly inside the
+  /// bucket that holds it; the first bucket's lower edge is 0. A
+  /// quantile in the overflow bucket reports the last bound (a lower
+  /// bound on the true value), and an empty histogram reports 0.
+  /// Throws std::invalid_argument for q outside [0, 1].
+  [[nodiscard]] double quantile(double q) const;
+
   void reset();
 
  private:

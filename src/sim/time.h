@@ -1,4 +1,4 @@
-// Simulation time and data-rate value types.
+// Simulation time, data-rate and time-series sample value types.
 //
 // Time is an integer count of nanoseconds. Integer time keeps event
 // ordering exact and simulations bit-for-bit reproducible; nanosecond
@@ -141,6 +141,14 @@ class Rate {
  private:
   explicit constexpr Rate(double v) : bps_{v} {}
   double bps_ = 0.0;
+};
+
+/// One observation of a time series (MACR over time, queue length over
+/// time, ...); series are plain std::vector<Sample> in time order.
+struct Sample {
+  Time time;
+  double value = 0.0;
+  friend bool operator==(const Sample&, const Sample&) = default;
 };
 
 }  // namespace phantom::sim

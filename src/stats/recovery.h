@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "sim/time.h"
-#include "sim/trace.h"
 
 namespace phantom::stats {
 

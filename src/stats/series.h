@@ -4,7 +4,6 @@
 #include <span>
 
 #include "sim/time.h"
-#include "sim/trace.h"
 
 namespace phantom::stats {
 

@@ -190,11 +190,14 @@ TEST(AbrSourceTest, ShortIdleKeepsAcr) {
 
 TEST(AbrSourceTest, AcrTraceRecordsChanges) {
   SourceFixture f;
+  std::vector<sim::Sample> acr;
+  f.src.set_acr_history(&acr);
   f.src.start(Time::zero());
   f.sim.run_until(Time::us(1));
   f.src.receive_cell(brm(1, false, Rate::mbps(150)));
-  EXPECT_GE(f.src.acr_trace().size(), 2u);
-  EXPECT_DOUBLE_EQ(f.src.acr_trace().back().value, (8.5 + 4.25) * 1e6);
+  ASSERT_GE(acr.size(), 2u);
+  EXPECT_EQ(acr.front(), (sim::Sample{Time::zero(), 8.5e6}));  // at start
+  EXPECT_DOUBLE_EQ(acr.back().value, (8.5 + 4.25) * 1e6);
 }
 
 TEST(AbrSourceTest, ValidatesParams) {

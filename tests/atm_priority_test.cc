@@ -114,9 +114,10 @@ TEST(DelayHistogramTest, RecordsEndToEndDelays) {
   const auto sw = net.add_switch("sw");
   const auto dest = net.add_destination(sw, {});
   net.add_session(sw, {}, dest);
+  obs::Histogram h = obs::Histogram::linear(100.0, 1000);  // ms
+  net.destination(dest).set_delay_sink(&h);
   net.start_all(Time::zero(), Time::zero());
   sim.run_until(Time::ms(100));
-  const auto& h = net.destination(dest).delay_histogram();
   EXPECT_GT(h.count(), 100u);
   // One uncongested session: delay = 2 us access + 2 us link + one or
   // two cell serializations; well under a millisecond at any quantile.

@@ -13,6 +13,7 @@
 
 #include "atm/cell.h"
 #include "exp/factories.h"
+#include "obs/event_log.h"
 #include "sim/simulator.h"
 
 namespace phantom {
@@ -102,6 +103,81 @@ std::string reset_name(const testing::TestParamInfo<exp::Algorithm>& info) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, ControllerResetTest,
+                         testing::Values(exp::Algorithm::kPhantom,
+                                         exp::Algorithm::kEprca,
+                                         exp::Algorithm::kAprc,
+                                         exp::Algorithm::kCapc,
+                                         exp::Algorithm::kErica),
+                         reset_name);
+
+/// Every fair-share change, reset() and warm-start seed included, lands
+/// both in the attached history and in the event log as a kRateUpdate,
+/// so a trace shows why rates moved after a restart.
+class ControllerHistoryTest : public testing::TestWithParam<exp::Algorithm> {
+ protected:
+  /// Checks that the history's last sample and the log's last
+  /// kRateUpdate both carry the controller's current fair share, and
+  /// that the history holds one sample (the attach-time value) more
+  /// than the log holds rate updates.
+  void expect_recorded_now(const std::string& when) {
+    const double share = ctl->fair_share().bits_per_sec();
+    ASSERT_FALSE(history.empty()) << when;
+    EXPECT_EQ(history.back(), (sim::Sample{sim.now(), share})) << when;
+    if constexpr (obs::kObsEnabled) {
+      std::size_t updates = 0;
+      obs::Event last;
+      log.for_each([&](const obs::Event& e) {
+        if (e.kind != obs::EventKind::kRateUpdate) return;
+        ++updates;
+        last = e;
+      });
+      ASSERT_GT(updates, 0u) << when;
+      EXPECT_EQ(last.time, sim.now()) << when;
+      EXPECT_DOUBLE_EQ(last.a, ctl->fair_share().mbits_per_sec()) << when;
+      EXPECT_EQ(history.size(), updates + 1) << when;
+    }
+  }
+
+  sim::Simulator sim;
+  obs::EventLog log;
+  std::vector<sim::Sample> history;
+  std::unique_ptr<atm::PortController> ctl;
+};
+
+TEST_P(ControllerHistoryTest, ResetAndWarmSeedRecordTheNewRate) {
+  ctl = exp::make_factory(GetParam())(sim, Rate::mbps(150));
+  ctl->set_event_log(&log, 0, 0);
+  ctl->set_fair_share_history(&history, sim.now());
+  ASSERT_EQ(history.size(), 1u);
+
+  // Warm-up history that moves every estimate off its boot value.
+  int vc = 0;
+  for (std::int64_t t = 0; t < 40; ++t) {
+    sim.run_until(Time::us(500) * t + Time::us(250));
+    (void)feed(*ctl, script()[static_cast<std::size_t>(t) % script().size()],
+               vc);
+    vc = (vc + 1) % 3;
+  }
+
+  ctl->reset();
+  expect_recorded_now("after reset()");
+
+  // A warm restart, then one instant's worth of FRMs at a CCR far from
+  // the boot value: the window fills and the seed is installed at once.
+  sim.run_until(sim.now() + Time::us(100));
+  ctl->warm_restart();
+  const atm::WarmStartAudit* audit = ctl->warm_audit();
+  ASSERT_NE(audit, nullptr);
+  for (std::uint64_t i = 0; i < atm::WarmStartWindow::kMaxSamples; ++i) {
+    atm::Cell frm = atm::Cell::forward_rm(0, Rate::mbps(60), Rate::mbps(365));
+    ctl->on_forward_rm(frm, 0);
+  }
+  ASSERT_FALSE(audit->window_open);
+  EXPECT_DOUBLE_EQ(audit->seeded_bps, ctl->fair_share().bits_per_sec());
+  expect_recorded_now("after the warm-start seed");
+}
+
+INSTANTIATE_TEST_SUITE_P(AllAlgorithms, ControllerHistoryTest,
                          testing::Values(exp::Algorithm::kPhantom,
                                          exp::Algorithm::kEprca,
                                          exp::Algorithm::kAprc,

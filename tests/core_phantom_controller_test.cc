@@ -26,10 +26,12 @@ TEST(PhantomControllerTest, NameAndInitialShare) {
 TEST(PhantomControllerTest, IntervalTimerTicks) {
   Simulator sim;
   PhantomController ctl{sim, Rate::mbps(150), cfg()};
+  std::vector<sim::Sample> macr;
+  ctl.set_fair_share_history(&macr, sim.now());
   sim.run_until(Time::ms(10));
   EXPECT_EQ(ctl.intervals_elapsed(), 10u);
-  // trace: initial sample + one per interval.
-  EXPECT_EQ(ctl.macr_trace().size(), 11u);
+  // History: the value at attach time + one per interval.
+  EXPECT_EQ(macr.size(), 11u);
 }
 
 TEST(PhantomControllerTest, IdlePortGrowsMacrTowardTarget) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "exp/factories.h"
 #include "sim/simulator.h"
 #include "topo/abr_network.h"
@@ -16,10 +18,11 @@ using sim::Time;
 struct Fixture {
   Simulator sim;
   topo::AbrNetwork net{sim, make_factory(Algorithm::kPhantom)};
+  topo::AbrNetwork::SwitchId sw;
   topo::AbrNetwork::DestId dest;
 
   Fixture() {
-    const auto sw = net.add_switch("sw");
+    sw = net.add_switch("sw");
     dest = net.add_destination(sw, {});
     net.add_session(sw, {}, dest);
     net.add_session(sw, {}, dest);
@@ -70,27 +73,61 @@ TEST(GoodputProbeTest, ZeroWindowYieldsZeroRates) {
   for (const double r : probe.rates_mbps()) EXPECT_DOUBLE_EQ(r, 0.0);
 }
 
-TEST(QueueSamplerTest, SamplesOnConfiguredPeriod) {
+TEST(GoodputProbeTest, ConstructionOpensTheWindow) {
   Fixture f;
-  QueueSampler sampler{f.sim, f.net.dest_port(f.dest), Time::ms(1)};
+  GoodputProbe probe{f.sim, f.net};  // never marked
+  f.net.start_all(Time::zero(), Time::zero());
+  f.sim.run_until(Time::ms(100));
+  for (const double r : probe.rates_mbps()) {
+    EXPECT_GT(r, 0.0);
+    EXPECT_LE(r, 150.0);
+  }
+}
+
+TEST(GoodputProbeTest, SessionAddedAfterMarkCountsFromZero) {
+  Fixture f;
+  f.net.start_all(Time::zero(), Time::zero());
+  GoodputProbe probe{f.sim, f.net};
+  f.sim.run_until(Time::ms(50));
+  probe.mark();
+  const auto added = f.net.try_add_session(f.sw, {}, f.dest);
+  ASSERT_TRUE(added.admitted);
+  f.net.source(added.session).start(f.sim.now());
+  f.sim.run_until(Time::ms(150));
+  const auto rates = probe.rates_mbps();
+  ASSERT_EQ(rates.size(), 3u);
+  EXPECT_GT(rates[2], 0.0);
+  for (const double r : rates) {
+    EXPECT_TRUE(std::isfinite(r));
+    EXPECT_LE(r, 150.0);  // the link rate
+  }
+}
+
+TEST(SamplerTest, SamplesOnConfiguredPeriod) {
+  Fixture f;
+  Sampler sampler{f.sim, queue_length_of(f.net.dest_port(f.dest)),
+                  Time::ms(1)};
   f.net.start_all(Time::zero(), Time::zero());
   f.sim.run_until(Time::ms(50));
   // One sample at t=0 plus one per ms.
-  EXPECT_GE(sampler.trace().size(), 50u);
-  EXPECT_LE(sampler.trace().size(), 52u);
+  EXPECT_GE(sampler.samples().size(), 50u);
+  EXPECT_LE(sampler.samples().size(), 52u);
+  EXPECT_EQ(sampler.samples()[0].time, Time::zero());
+  EXPECT_EQ(sampler.samples()[1].time, Time::ms(1));
 }
 
-TEST(FairShareSamplerTest, TracksControllerEstimate) {
+TEST(SamplerTest, TracksControllerEstimate) {
   Fixture f;
-  FairShareSampler sampler{f.sim, f.net.dest_port(f.dest).controller(),
-                           Time::ms(1)};
+  Sampler sampler{f.sim,
+                  fair_share_of(f.net.dest_port(f.dest).controller()),
+                  Time::ms(1)};
   f.net.start_all(Time::zero(), Time::zero());
   f.sim.run_until(Time::ms(300));
-  ASSERT_GT(sampler.trace().size(), 100u);
+  ASSERT_GT(sampler.samples().size(), 100u);
   // Converged near u*C/3 by the end.
-  EXPECT_NEAR(sampler.trace().back().value / 1e6, 47.5, 3.0);
+  EXPECT_NEAR(sampler.samples().back().value / 1e6, 47.5, 3.0);
   // First sample is the initial MACR (8.5).
-  EXPECT_NEAR(sampler.trace().samples()[0].value / 1e6, 8.5, 0.1);
+  EXPECT_NEAR(sampler.samples()[0].value / 1e6, 8.5, 0.1);
 }
 
 }  // namespace

@@ -53,17 +53,15 @@ RunOutput run_once(std::uint64_t seed) {
   fault::FaultInjector injector{sim, net};
   injector.apply(make_plan());
   fault::InvariantMonitor monitor{sim, net};
-  exp::FairShareSampler share{sim, net.dest_port(dest).controller()};
-  exp::QueueSampler queue{sim, net.dest_port(dest)};
+  exp::Sampler share{sim, exp::fair_share_of(net.dest_port(dest).controller())};
+  exp::Sampler queue{sim, exp::queue_length_of(net.dest_port(dest))};
   net.start_all(Time::zero(), Time::zero());
   sim.run_until(Time::ms(350));
   monitor.check_now();
 
   RunOutput out;
-  out.share.assign(share.trace().samples().begin(),
-                   share.trace().samples().end());
-  out.queue.assign(queue.trace().samples().begin(),
-                   queue.trace().samples().end());
+  out.share = share.samples();
+  out.queue = queue.samples();
   for (std::size_t s = 0; s < net.num_sessions(); ++s) {
     out.delivered.push_back(net.delivered_cells(s));
   }

@@ -92,6 +92,76 @@ TEST(HistogramTest, BucketsCountByUpperBoundWithOverflow) {
   EXPECT_EQ(h.counts()[0], 0u);
 }
 
+TEST(HistogramTest, StartsEmpty) {
+  const Histogram h = Histogram::linear(10.0, 100);
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_DOUBLE_EQ(h.sum(), 0.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.99), 0.0);
+}
+
+TEST(HistogramTest, MeanAndMax) {
+  Histogram h = Histogram::linear(10.0, 100);
+  h.observe(1.0);
+  h.observe(2.0);
+  h.observe(6.0);
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_DOUBLE_EQ(h.sum() / static_cast<double>(h.count()), 3.0);
+  // The top quantile is the upper bound of the maximum's bucket.
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 6.0);
+}
+
+TEST(HistogramTest, LinearBucketsCoverZeroToUpper) {
+  const Histogram h = Histogram::linear(1.0, 4);
+  ASSERT_EQ(h.bounds().size(), 4u);
+  EXPECT_DOUBLE_EQ(h.bounds()[0], 0.25);
+  EXPECT_DOUBLE_EQ(h.bounds()[3], 1.0);
+}
+
+TEST(HistogramTest, QuantileInterpolatesWithinBucket) {
+  Histogram h{{1.0, 2.0, 4.0}};
+  h.observe(0.5);
+  h.observe(1.5);
+  h.observe(3.0);
+  h.observe(3.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);   // first bucket starts at 0
+  EXPECT_DOUBLE_EQ(h.quantile(0.125), 0.5);
+  EXPECT_DOUBLE_EQ(h.quantile(0.5), 2.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.75), 3.0);
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 4.0);
+}
+
+TEST(HistogramTest, QuantilesOfUniformRamp) {
+  Histogram h = Histogram::linear(100.0, 1000);
+  for (int i = 0; i < 1000; ++i) h.observe(static_cast<double>(i) / 10.0);
+  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.0);
+  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.0);
+  EXPECT_NEAR(h.quantile(0.99), 99.0, 1.0);
+}
+
+TEST(HistogramTest, OverflowBinCatchesOutliers) {
+  Histogram h = Histogram::linear(10.0, 10);
+  for (int i = 0; i < 99; ++i) h.observe(1.0);
+  h.observe(1e9);
+  EXPECT_EQ(h.counts().back(), 1u);
+  EXPECT_NEAR(h.quantile(0.5), 1.0, 1.1);
+  // An outlier quantile reports the last bound.
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 10.0);
+}
+
+TEST(HistogramTest, RejectsBadConstructionAndInput) {
+  EXPECT_THROW((Histogram{{2.0, 1.0}}), std::invalid_argument);
+  const Histogram h = Histogram::linear(1.0, 10);
+  EXPECT_THROW((void)h.quantile(1.5), std::invalid_argument);
+  EXPECT_THROW((void)h.quantile(-0.1), std::invalid_argument);
+}
+
+TEST(HistogramTest, PointMassQuantiles) {
+  Histogram h = Histogram::linear(10.0, 100);
+  for (int i = 0; i < 1000; ++i) h.observe(4.2);
+  EXPECT_NEAR(h.quantile(0.01), 4.2, 0.2);
+  EXPECT_NEAR(h.quantile(0.99), 4.2, 0.2);
+}
+
 TEST(RegistryTest, HistogramSnapshotsExpandBuckets) {
   Registry reg;
   Histogram h{{4.0, 16.0}};

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/phantom_controller.h"
+#include "exp/probes.h"
 #include "sim/simulator.h"
 #include "stats/fairness.h"
 #include "stats/series.h"
@@ -18,6 +19,7 @@ namespace {
 using sim::Rate;
 using sim::Simulator;
 using sim::Time;
+using exp::GoodputProbe;
 using topo::AbrNetwork;
 using topo::TrunkOptions;
 
@@ -26,35 +28,6 @@ topo::ControllerFactory phantom_factory(core::PhantomConfig cfg = {}) {
     return std::make_unique<core::PhantomController>(sim, rate, cfg);
   };
 }
-
-/// Goodput of session `s` over [t0, t1], from delivered-cell deltas.
-class GoodputProbe {
- public:
-  GoodputProbe(Simulator& sim, AbrNetwork& net) : sim_{&sim}, net_{&net} {}
-  void mark() {
-    t0_ = sim_->now();
-    base_.clear();
-    for (std::size_t s = 0; s < net_->num_sessions(); ++s) {
-      base_.push_back(net_->delivered_cells(s));
-    }
-  }
-  [[nodiscard]] std::vector<double> rates_mbps() const {
-    std::vector<double> out;
-    const double secs = (sim_->now() - t0_).seconds();
-    for (std::size_t s = 0; s < net_->num_sessions(); ++s) {
-      const double cells =
-          static_cast<double>(net_->delivered_cells(s) - base_[s]);
-      out.push_back(cells * atm::kCellBits / secs / 1e6);
-    }
-    return out;
-  }
-
- private:
-  Simulator* sim_;
-  AbrNetwork* net_;
-  Time t0_;
-  std::vector<std::uint64_t> base_;
-};
 
 struct SingleBottleneck {
   explicit SingleBottleneck(Simulator& sim, int n,
@@ -89,12 +62,12 @@ TEST(PhantomIntegrationTest, TwoGreedySessionsConvergeToUCOver3) {
 TEST(PhantomIntegrationTest, MacrConvergesToPredictedEquilibrium) {
   Simulator sim;
   SingleBottleneck b{sim, 2};
+  std::vector<sim::Sample> macr;
+  b.net.dest_port(b.dest).controller().set_fair_share_history(&macr,
+                                                              sim.now());
   b.net.start_all(Time::zero(), Time::zero());
   sim.run_until(Time::ms(400));
-  const auto& ctl = dynamic_cast<const core::PhantomController&>(
-      b.net.dest_port(b.dest).controller());
-  const auto tail = stats::summarize(ctl.macr_trace().samples(),
-                                     Time::ms(300), Time::ms(400));
+  const auto tail = stats::summarize(macr, Time::ms(300), Time::ms(400));
   EXPECT_NEAR(tail.mean / 1e6, 47.5, 3.0);
 }
 

@@ -46,7 +46,7 @@ TEST_P(SelfHealResilienceTest, TotalFeedbackLossDecaysToIcrAndReconverges) {
   injector.apply(fault::FaultPlan{}.rm_blackhole(fault::dest(0), kBlackholeAt,
                                                  kBlackholeLen, 1.0));
   fault::InvariantMonitor monitor{sim, net};
-  exp::FairShareSampler share{sim, net.dest_port(dest).controller()};
+  exp::Sampler share{sim, exp::fair_share_of(net.dest_port(dest).controller())};
 
   net.start_all(Time::zero(), Time::zero());
 
@@ -77,11 +77,11 @@ TEST_P(SelfHealResilienceTest, TotalFeedbackLossDecaysToIcrAndReconverges) {
   // stays there. APRC's instantaneous estimate oscillates by design, so
   // the raw trace would never hold a band even fault-free.
   const double target =
-      stats::mean_in_window(share.trace().samples(), Time::ms(150),
+      stats::mean_in_window(share.samples(), Time::ms(150),
                             kBlackholeAt);
   ASSERT_GT(target, 0.0);
   const auto smoothed =
-      stats::smooth_series(share.trace().samples(), Time::ms(10));
+      stats::smooth_series(share.samples(), Time::ms(10));
   const auto reconverge = stats::time_to_reconverge(
       smoothed, kBlackholeAt + kBlackholeLen, target, 0.15);
   ASSERT_TRUE(reconverge.has_value())
